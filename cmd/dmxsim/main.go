@@ -410,11 +410,15 @@ func run(o options, out io.Writer) error {
 	return writeTraceFile(o, cfg, out)
 }
 
-// checkClusterFlags rejects cluster-only flags on a single-host run.
-// Silently ignoring -net-* (or -shards, -host-admit, -drain) would
-// print a report for physics the user didn't ask about — a one-host
-// "fleet" has no inter-host network to model.
+// checkClusterFlags rejects a fleet of fewer than one host, and
+// cluster-only flags on a single-host run. Silently ignoring -net-* (or
+// -shards, -host-admit, -drain) would print a report for physics the
+// user didn't ask about — a one-host "fleet" has no inter-host network
+// to model.
 func checkClusterFlags(o options) error {
+	if o.hosts < 1 {
+		return fmt.Errorf("-hosts %d: a run needs at least 1 host", o.hosts)
+	}
 	if o.hosts > 1 {
 		return nil
 	}

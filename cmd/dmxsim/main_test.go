@@ -22,6 +22,7 @@ func opts() options {
 		placement: "bump",
 		gen:       3,
 		lanes:     128,
+		hosts:     1,
 		verbose:   true,
 		trace:     true,
 	}
@@ -67,8 +68,8 @@ func TestRunOutputIsDeterministic(t *testing.T) {
 	}
 }
 
-// Cluster-only flags on a single-host run must error out rather than
-// silently shape (or not shape) the report.
+// Cluster-only flags on a single-host run, and host counts below one,
+// must error out rather than silently shape (or not shape) the report.
 func TestClusterOnlyFlagsRejected(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -82,6 +83,8 @@ func TestClusterOnlyFlagsRejected(t *testing.T) {
 		{"negative-shards-single-host", func(o *options) { o.shards = -1 }, true},
 		{"host-admit-single-host", func(o *options) { o.hostAdmit = 8 }, true},
 		{"drain-single-host", func(o *options) { o.drain = "3/2ms" }, true},
+		{"zero-hosts", func(o *options) { o.hosts = 0 }, true},
+		{"negative-hosts", func(o *options) { o.hosts = -3 }, true},
 		{"shards-default-ok", func(o *options) { o.shards = 1 }, false},
 		{"net-multi-host-ok", func(o *options) {
 			o.hosts = 2
@@ -102,7 +105,7 @@ func TestClusterOnlyFlagsRejected(t *testing.T) {
 			var buf bytes.Buffer
 			err := run(o, &buf)
 			if tc.wantErr && err == nil {
-				t.Error("cluster-only flag accepted on a single-host run")
+				t.Error("flag combination accepted; want an error")
 			}
 			if !tc.wantErr && err != nil {
 				t.Errorf("valid flag combination rejected: %v", err)

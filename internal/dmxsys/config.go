@@ -222,10 +222,10 @@ type Config struct {
 	// unit being held (unavailable to other work) across the gap. Legal
 	// only under placements where adjacent hops share one DRX unit
 	// (Integrated, Standalone, PCIe-Integrated) and only when the two
-	// kernels chain (restructure.Fuse accepts them). Mutually exclusive
-	// with BatchWindow: batches re-plan hop payloads per batch, which a
-	// resident half-executed program cannot express. Empty preserves the
-	// unfused flow bit-for-bit.
+	// kernels chain (restructure.Fuse accepts them). Composes with
+	// BatchWindow: a batch runs each fused segment at n× the per-request
+	// service and holds the unit across the gap like a solo request.
+	// Empty preserves the unfused flow bit-for-bit.
 	FuseHops []FusePair
 }
 
@@ -298,9 +298,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("dmxsys: negative admission limit %d", c.AdmitLimit)
 	}
 	if len(c.FuseHops) > 0 {
-		if c.BatchWindow > 0 {
-			return fmt.Errorf("dmxsys: hop fusion and batching are mutually exclusive")
-		}
 		switch c.Placement {
 		case Integrated, Standalone, PCIeIntegrated:
 		default:

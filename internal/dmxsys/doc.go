@@ -22,15 +22,16 @@
 // text rendering of the same stream; RunReport.Metrics is its aggregate.
 //
 // The serving layer turns one-shot runs into request streams: RunLoad
-// drives a traffic.Spec arrival process through per-request state
-// machines (flow.go) and reports per-app rates, latency quantiles, and
-// outcome counters. In front of the state machine sits an optional
-// continuous-batching accumulator (batch.go): arrivals of an app inside
-// Config.BatchWindow coalesce and walk the pipeline as one batch — one
-// kernel launch, one driver round trip, and one DMA descriptor per
-// transfer leg — then split back out per request for latency and
-// deadline accounting. Contended stations order their backlogs by
-// Config.Sched (FIFO, priority, weighted fair, earliest-deadline-first,
+// drives a traffic.Spec arrival process through one state machine
+// (flow.go) and reports per-app rates, latency quantiles, and outcome
+// counters. The machine walks units of n ≥ 1 requests: an unbatched
+// request is a unit of one, and an optional continuous-batching
+// accumulator (batch.go) coalesces the arrivals of an app inside
+// Config.BatchWindow into one unit of many — one kernel launch, one
+// driver round trip, and one DMA descriptor per transfer leg — that
+// splits back out per request for latency and deadline accounting.
+// Contended stations order their backlogs by Config.Sched (FIFO,
+// priority, weighted fair, earliest-deadline-first,
 // shortest-remaining-service), and Config.AdmitLimit sheds arrivals
 // past a per-app outstanding cap as rejections. Batching off
 // (BatchWindow 0) is byte-identical to the unbatched path; batched

@@ -12,18 +12,29 @@ import (
 )
 
 // This file implements the end-to-end request flow for every system
-// configuration as an explicit state machine. Each in-flight request is
-// a *request value carrying its own cursor through the pipeline (the
-// stage index), its phase tracker, and its deadline; the machine
-// advances through small step methods, one per protocol action:
+// configuration as one explicit state machine. What walks the pipeline
+// is a *unit: n ≥ 1 requests of one application moving as one payload —
+// a solo request is a unit of one, a coalesced batch (batch.go) a unit
+// of many. The unit carries the stage cursor (the stage index), the
+// phase tracker, and the in-flight hardware state; each member request
+// keeps only its own accounting (arrival, deadline, outcome, counters).
+// The machine advances through small step methods, one per protocol
+// action:
 //
-//	stepInput → stepKernel → kernelDone → hop* → (k++) stepKernel → ... → stepOutput → finish
+//	stepInput → stepKernel → kernelDone → hop* → (k++) stepKernel → ... → stepOutput → complete
 //
 // with a placement-specific hop sequence between kernels and a pure-CPU
 // chain (stepCPUKernel/cpuKernelDone/cpuRestructured) for the AllCPU
 // baseline. Run, RunStream, and RunLoad are thin front-ends over the
 // same machine: they differ only in the arrival offsets they feed the
 // shared drive loop.
+//
+// Every step is written once for any n. Payload bytes and streamed
+// service (DRX restructuring, CPU work) scale by n; an accelerator
+// kernel is one launch over n× the bytes, and each leg pays one driver
+// round trip and one DMA descriptor — which is where batching wins. At
+// n = 1 every scaled quantity is the per-request value, so the solo flow
+// is the general flow, not a special case of it.
 //
 // Every protocol step also emits a structured obs event (see
 // internal/obs): an instant at the moment the old text trace logged a
@@ -32,7 +43,7 @@ import (
 // rendering of these events, never a separate code path.
 //
 // Errors (fabric transfer failures, queue accounting violations, DRX
-// timing failures) do not panic: the request records the first error on
+// timing failures) do not panic: the unit records the first error on
 // the System via fail and stops advancing; the drive loop surfaces it
 // from Run/RunStream/RunLoad after the engine drains.
 
@@ -68,48 +79,73 @@ func (s *System) obsInstant(a *appInstance, typ obs.Type, step uint8, track, pee
 	s.sink().Instant(obs.Time(s.Eng.Now()), typ, step, track, peer, a.pipe.Name, name, bytes)
 }
 
-// request is one in-flight request walking its application's pipeline.
+// request is one admitted request's own accounting; the unit it rides
+// does the walking.
 type request struct {
-	s *System
-	a *appInstance
-
-	// k is the stage cursor: the index of the pipeline stage the request
-	// is currently executing (or moving its output away from).
-	k int
-
-	// track is the request's trace timeline (the app track, suffixed
-	// with a request ordinal under streamed execution so concurrent
-	// requests never interleave spans on one track).
-	track string
-	// mark is the phase tracker: the start of the current contiguous
-	// segment, closed by lap into one of the three report components.
-	mark sim.Time
-
 	// start is the admission instant; deadline is the absolute latency
 	// budget (zero = none). RunLoad reads both when the request retires.
 	start    sim.Time
 	deadline sim.Time
 
-	// legBegin is the start time of the DMA leg currently in flight
-	// (legs within one request are strictly sequential).
-	legBegin sim.Time
+	// track is the request's trace timeline (the app track, suffixed
+	// with a request ordinal under streamed execution so concurrent
+	// requests never interleave spans on one track).
+	track string
+
+	// outcome classifies how the request retired; retries/timeouts
+	// accumulate for the report (unit-level incidents are charged to
+	// the unit's first member).
+	outcome  traffic.Outcome
+	retries  int
+	timeouts int
+
+	// done retires the request (nil once retired).
+	done func(*request)
+}
+
+// unit is n ≥ 1 requests of one app walking the pipeline as one
+// payload.
+type unit struct {
+	s *System
+	a *appInstance
+
+	// members are the live members in arrival order. Members leave the
+	// slice by peeling (solo retry) or when the unit retires.
+	members []*request
+	// batched marks a unit dispatched as a coalesced batch: it rides its
+	// own trace track and rolls transient DRX faults per member, peeling
+	// the failures. A solo unit retries in place instead.
+	batched bool
+
+	// k is the stage cursor: the index of the pipeline stage the unit
+	// is currently executing (or moving its output away from).
+	k int
+
+	// track is the unit's trace timeline: the member's track for a solo
+	// unit, a "/b%d" batch track otherwise. mark is the phase tracker:
+	// the start of the current contiguous segment, closed by lap into
+	// one of the three report components.
+	track string
+	mark  sim.Time
+
+	// leg is the DMA leg currently in flight (legs within one unit are
+	// strictly sequential).
+	leg dmaLeg
 	// rx, tx are the bump-in-the-wire data queues of the hop in
 	// progress; rxHeld/txHeld mirror the bytes currently reserved so a
 	// degrade or abandon mid-hop can release them (a held reservation
-	// would deadlock peer requests waiting on queue space).
+	// would deadlock peer units waiting on queue space).
 	rx, tx         *DataQueue
 	rxHeld, txHeld int64
 
 	// Fault-handling state, all zero on the fault-free path. attempt
 	// numbers the tries of the stage operation in progress; epoch
-	// invalidates in-flight completions after a watchdog fires;
-	// retries/timeouts accumulate for the report; outcome classifies
-	// how the request retired.
+	// invalidates in-flight completions after a watchdog fires or the
+	// shell retires; dead marks a retired (or failed) unit so stale
+	// completions drop.
 	attempt  int
 	epoch    int
-	retries  int
-	timeouts int
-	outcome  traffic.Outcome
+	dead     bool
 	watchdog sim.EventRef
 	wdArmed  bool
 
@@ -118,23 +154,32 @@ type request struct {
 	// resumes the resident program on it, or degradation releases it.
 	hold   *sim.Hold
 	holdAt sim.Time
-
-	// done retires the request (nil once failed or retired).
-	done func(*request)
 }
 
-// guard wraps a completion callback with the request's liveness and
-// epoch: a completion that lost a watchdog race, or that arrived after
-// the request retired, is dropped. On the fault-free path the callback
-// is returned untouched, so timing and allocation behavior are
-// unchanged.
-func (r *request) guard(f func()) func() {
-	if !r.s.hazardous {
+// dmaLeg is one DMA leg as its completion span reports it: type,
+// Fig. 10 step, endpoints, payload, and start instant.
+type dmaLeg struct {
+	typ      obs.Type
+	step     uint8
+	from, to string
+	bytes    int64
+	begin    sim.Time
+}
+
+// n is the live member count.
+func (u *unit) n() int64 { return int64(len(u.members)) }
+
+// guard wraps a completion callback with the unit's liveness and epoch:
+// a completion that lost a watchdog race, or that arrived after the
+// unit retired, is dropped. On the fault-free path the callback is
+// returned untouched, so timing and allocation behavior are unchanged.
+func (u *unit) guard(f func()) func() {
+	if !u.s.hazardous {
 		return f
 	}
-	e := r.epoch
+	e := u.epoch
 	return func() {
-		if r.done != nil && r.epoch == e {
+		if !u.dead && u.epoch == e {
 			f()
 		}
 	}
@@ -142,85 +187,97 @@ func (r *request) guard(f func()) func() {
 
 // arm starts the per-stage watchdog, when one is configured: if the
 // guarded operation has not completed within Retry.StageDeadline, the
-// in-flight completion is invalidated (epoch bump) and onTimeout runs.
-// The stalled station keeps its slot busy — injected faults wedge
-// devices, they do not recall submitted work.
-func (r *request) arm(name string, onTimeout func()) {
-	s := r.s
+// in-flight completion is invalidated (epoch bump) and the timeout is
+// handled — a kernel re-attempts (kernelTimeout), a restructure
+// degrades (degradeHop). The stalled station keeps its slot busy —
+// injected faults wedge devices, they do not recall submitted work.
+// Naming the handler by a flag rather than a func value keeps the
+// fault-free path from allocating a bound method per stage.
+func (u *unit) arm(name string, kernel bool) {
+	s := u.s
 	if !s.hazardous || s.cfg.Retry.StageDeadline <= 0 {
 		return
 	}
-	e := r.epoch
-	r.watchdog = s.Eng.Schedule(s.cfg.Retry.StageDeadline, func() {
-		if r.done == nil || r.epoch != e {
+	e := u.epoch
+	u.watchdog = s.Eng.Schedule(s.cfg.Retry.StageDeadline, func() {
+		if u.dead || u.epoch != e {
 			return
 		}
-		r.epoch++
-		r.wdArmed = false
-		r.timeouts++
-		s.obsInstant(r.a, obs.TypeTimeout, 0, r.track, "", name, 0)
-		onTimeout()
+		u.epoch++
+		u.wdArmed = false
+		u.members[0].timeouts++
+		s.obsInstant(u.a, obs.TypeTimeout, 0, u.track, "", name, 0)
+		if kernel {
+			u.kernelTimeout()
+		} else {
+			u.degradeHop()
+		}
 	})
-	r.wdArmed = true
+	u.wdArmed = true
 }
 
 // disarm cancels a pending watchdog (no-op when none is armed).
-func (r *request) disarm() {
-	if r.wdArmed {
-		r.watchdog.Cancel()
-		r.wdArmed = false
+func (u *unit) disarm() {
+	if u.wdArmed {
+		u.watchdog.Cancel()
+		u.wdArmed = false
 	}
 }
 
 // releaseQueues returns any bump-in-the-wire queue reservations the
-// request still holds.
-func (r *request) releaseQueues() {
-	if r.rxHeld > 0 && r.rx != nil {
-		if err := r.rx.Dequeue(r.rxHeld); err != nil {
-			r.fail(fmt.Errorf("dmxsys: %w", err))
+// unit still holds.
+func (u *unit) releaseQueues() {
+	if u.rxHeld > 0 && u.rx != nil {
+		if err := u.rx.Dequeue(u.rxHeld); err != nil {
+			u.fail(fmt.Errorf("dmxsys: %w", err))
 		}
-		r.rxHeld = 0
+		u.rxHeld = 0
 	}
-	if r.txHeld > 0 && r.tx != nil {
-		if err := r.tx.Dequeue(r.txHeld); err != nil {
-			r.fail(fmt.Errorf("dmxsys: %w", err))
+	if u.txHeld > 0 && u.tx != nil {
+		if err := u.tx.Dequeue(u.txHeld); err != nil {
+			u.fail(fmt.Errorf("dmxsys: %w", err))
 		}
-		r.txHeld = 0
+		u.txHeld = 0
 	}
 }
 
 // releaseHold returns a fused leader's retained DRX slot (no-op when
-// none is held). Every path that diverts a request off the fused flow —
+// none is held). Every path that diverts a unit off the fused flow —
 // abandon, degradation — must call it, or the held slot would starve
-// every other request of the unit.
-func (r *request) releaseHold() {
-	if r.hold != nil {
-		r.hold.Release()
-		r.hold = nil
+// every other unit of the station.
+func (u *unit) releaseHold() {
+	if u.hold != nil {
+		u.hold.Release()
+		u.hold = nil
 	}
 }
 
-// abandon retires the request unfinished after its retry budget is
-// exhausted. It still retires through done so the drive loop's
-// outstanding count drains and the run completes.
-func (r *request) abandon() {
-	r.disarm()
-	r.epoch++ // drop any completion still in flight
-	r.releaseQueues()
-	r.releaseHold()
-	r.outcome = traffic.OutcomeAbandoned
-	r.s.obsInstant(r.a, obs.TypeAbandon, 0, r.track, "", "", 0)
-	r.finish()
+// abandon retires every member unfinished after the unit's retry budget
+// is exhausted (a dead link, a kernel watchdog out of budget): the
+// hardware incident is shared, so the whole unit is. Members still
+// retire through done so the drive loop's outstanding count drains and
+// the run completes.
+func (u *unit) abandon() {
+	u.disarm()
+	u.epoch++ // drop any completion still in flight
+	u.releaseQueues()
+	u.releaseHold()
+	for _, m := range u.members {
+		m.outcome = traffic.OutcomeAbandoned
+		u.s.obsInstant(u.a, obs.TypeAbandon, 0, m.track, "", "", 0)
+		u.finish(m)
+	}
+	u.release()
 }
 
 // admit is the serving front door for one arrival: admission control
 // first (RunLoad only), then the batching window when one is
-// configured, then the solo per-request state machine. With admission
-// control and batching both disabled it is startRequest, bit-for-bit.
+// configured, then a unit of one. With admission control and batching
+// both disabled it is startRequest, bit-for-bit.
 func (s *System) admit(a *appInstance, deadline sim.Duration, done func(*request)) {
 	if s.admitting && s.cfg.AdmitLimit > 0 && a.inflight >= s.cfg.AdmitLimit {
 		s.obsInstant(a, obs.TypeReject, 0, a.track, "", "", int64(a.inflight))
-		r := &request{s: s, a: a, track: a.track, outcome: traffic.OutcomeRejected}
+		r := &request{track: a.track, outcome: traffic.OutcomeRejected}
 		// The request never executes: retire it through done directly so
 		// the drive loop's outstanding count drains, without touching
 		// a.requests (occupancy and report totals cover executed
@@ -239,7 +296,7 @@ func (s *System) admit(a *appInstance, deadline sim.Duration, done func(*request
 // completion. deadline, when positive, is the per-request latency
 // budget relative to now.
 func (s *System) startRequest(a *appInstance, deadline sim.Duration, done func(*request)) {
-	s.newRequest(a, deadline, done).launch()
+	s.dispatch(a, []*request{s.newRequest(a, deadline, done)})
 }
 
 // newRequest creates one request of app a without dispatching it (a
@@ -255,25 +312,43 @@ func (s *System) newRequest(a *appInstance, deadline sim.Duration, done func(*re
 	}
 	a.requests++
 	a.inflight++
-	r := &request{s: s, a: a, track: track, mark: now, start: now, done: done}
+	r := &request{track: track, start: now, done: done}
 	if deadline > 0 {
 		r.deadline = now.Add(deadline)
 	}
 	return r
 }
 
-// launch dispatches the request into its placement's walk.
-func (r *request) launch() {
-	if r.s.cfg.Placement == AllCPU {
-		r.stepCPUKernel()
+// dispatch launches members as one unit into their placement's walk. A
+// unit of one rides its member's track with phases timed from the
+// member's arrival (a window wait is its queueing, as unbatched); a
+// coalesced batch gets its own track and times phases from the flush.
+func (s *System) dispatch(a *appInstance, members []*request) {
+	u := s.newUnit(a)
+	u.members = append(u.members, members...)
+	if len(members) == 1 {
+		u.track, u.mark = members[0].track, members[0].start
+	} else {
+		u.batched = true
+		u.mark = s.Eng.Now()
+		u.track = a.track
+		if s.rec != nil {
+			u.track = fmt.Sprintf("%s/b%d", a.track, a.nbatches)
+		}
+		a.nbatches++
+		a.batchedReqs += len(members)
+		s.obsInstant(a, obs.TypeBatch, 0, u.track, "", "", u.n())
+	}
+	if s.cfg.Placement == AllCPU {
+		u.stepCPUKernel()
 		return
 	}
-	r.stepInput()
+	u.stepInput()
 }
 
-// deadlineKey is the EDF scheduling key shared by solo requests and
-// batches: the absolute deadline, or MaxInt64 for "no deadline" so
-// deadline-carrying work always overtakes best-effort work.
+// deadlineKey is the EDF scheduling key of one deadline: the absolute
+// deadline, or MaxInt64 for "no deadline" so deadline-carrying work
+// always overtakes best-effort work.
 func deadlineKey(deadline sim.Time) int64 {
 	if deadline == 0 {
 		return math.MaxInt64
@@ -281,152 +356,176 @@ func deadlineKey(deadline sim.Time) int64 {
 	return int64(deadline)
 }
 
-// kernelKey is the request's scheduling key when submitting stage k's
-// kernel: its absolute deadline under EDF, the precomputed station
-// service still ahead of it under SRS, 0 (ignored) otherwise.
-func (r *request) kernelKey() int64 {
-	switch r.s.cfg.Sched {
+// key is the unit's scheduling key when submitting to a contended
+// station: the most urgent member's deadline under EDF, the unit's
+// precomputed station service still ahead (remAt[k], n× for n members)
+// under SRS, 0 (ignored) otherwise.
+func (u *unit) key(remAt []sim.Duration) int64 {
+	switch u.s.cfg.Sched {
 	case SchedEDF:
-		return deadlineKey(r.deadline)
+		key := deadlineKey(0)
+		for _, m := range u.members {
+			if k := deadlineKey(m.deadline); k < key {
+				key = k
+			}
+		}
+		return key
 	case SchedSRS:
-		return int64(r.a.remAtKernel[r.k])
-	}
-	return 0
-}
-
-// hopKey is the analogous key when submitting hop k's restructuring.
-func (r *request) hopKey() int64 {
-	switch r.s.cfg.Sched {
-	case SchedEDF:
-		return deadlineKey(r.deadline)
-	case SchedSRS:
-		return int64(r.a.remAtHop[r.k])
+		return int64(remAt[u.k]) * u.n()
 	}
 	return 0
 }
 
 // lap closes the current contiguous segment, attributing it to phase p.
-func (r *request) lap(p phase) {
-	now := r.s.Eng.Now()
-	d := now.Sub(r.mark)
+// Phase time is wall-clock per unit (not per member): the report's
+// phase components measure resource time, which a batch spends once.
+func (u *unit) lap(p phase) {
+	now := u.s.Eng.Now()
+	d := now.Sub(u.mark)
 	if d > 0 {
 		op := p.obsPhase()
-		r.s.sink().Span(obs.Time(r.mark), obs.Duration(d), obs.TypePhase, op, 0,
-			r.track, r.a.pipe.Name, op.String(), 0)
+		u.s.sink().Span(obs.Time(u.mark), obs.Duration(d), obs.TypePhase, op, 0,
+			u.track, u.a.pipe.Name, op.String(), 0)
 	}
-	r.mark = now
+	u.mark = now
 	switch p {
 	case phaseKernel:
-		r.a.rep.KernelTime += d
+		u.a.rep.KernelTime += d
 	case phaseRestructure:
-		r.a.rep.RestructureTime += d
+		u.a.rep.RestructureTime += d
 	case phaseMovement:
-		r.a.rep.MovementTime += d
+		u.a.rep.MovementTime += d
 	}
 }
 
-// obsDMA records a completed DMA leg: a span on the request's trace
-// track plus a flow arrow between the source and destination device
-// tracks. Call it from the transfer's completion callback with the
-// leg's start time.
-func (r *request) obsDMA(typ obs.Type, step uint8, from, to string, n int64, begin sim.Time) {
-	s := r.s
-	if s.rec == nil {
-		return
-	}
-	now := s.Eng.Now()
-	s.sink().Span(obs.Time(begin), obs.Duration(now.Sub(begin)), typ, obs.PhaseNone,
-		step, r.track, r.a.pipe.Name, "", n)
-	if from != to {
-		s.sink().FlowPair(obs.Time(begin), obs.Time(now), typ, from, to, r.a.pipe.Name, "", n)
-	}
-}
-
-// fail records the request's error on the System and stops the machine:
-// the request never retires, and the drive loop reports the error after
+// fail records the unit's error on the System and stops the machine:
+// its members never retire, and the drive loop reports the error after
 // the engine drains.
-func (r *request) fail(err error) {
-	r.s.fail(err)
-	r.done = nil
+func (u *unit) fail(err error) {
+	u.s.fail(err)
+	u.dead = true
 }
 
-// finish retires the request.
-func (r *request) finish() {
-	a := r.a
+// finish retires one member.
+func (u *unit) finish(m *request) {
+	a := u.a
 	a.inflight--
-	a.rep.Total = r.s.Eng.Now().Sub(r.start)
-	a.rep.Retries += r.retries
-	a.rep.Timeouts += r.timeouts
-	switch r.outcome {
+	a.rep.Total = u.s.Eng.Now().Sub(m.start)
+	a.rep.Retries += m.retries
+	a.rep.Timeouts += m.timeouts
+	switch m.outcome {
 	case traffic.OutcomeDegraded:
 		a.rep.Degraded++
 	case traffic.OutcomeAbandoned:
 		a.rep.Abandoned++
 	}
-	if done := r.done; done != nil {
-		r.done = nil
-		done(r)
+	if done := m.done; done != nil {
+		m.done = nil
+		done(m)
 	}
+}
+
+// complete retires every member (each member's latency runs from its
+// own arrival) and returns the shell to the pool.
+func (u *unit) complete() {
+	for _, m := range u.members {
+		u.finish(m)
+	}
+	u.release()
 }
 
 // transfer starts a fabric DMA with link-fault handling: a start that
 // fails because an injected link outage is in effect is re-attempted
-// under the retry policy, and the request is abandoned once attempts
-// run out; any other error is a hard flow error, exactly as before.
-func (r *request) transfer(from, to string, n int64, done func()) {
-	done = r.guard(done)
-	r.fabricAttempt(from, to, 1, func() error {
-		return r.s.Fabric.Transfer(from, to, n, done)
+// under the retry policy, and the unit is abandoned once attempts run
+// out; any other error is a hard flow error.
+func (u *unit) transfer(from, to string, n int64, done func()) {
+	done = u.guard(done)
+	u.fabricAttempt(from, to, 1, func() error {
+		return u.s.Fabric.Transfer(from, to, n, done)
 	})
 }
 
-func (r *request) fabricAttempt(from, to string, attempt int, start func() error) {
+func (u *unit) fabricAttempt(from, to string, attempt int, start func() error) {
 	err := start()
 	if err == nil {
 		return
 	}
-	s := r.s
+	s := u.s
 	if s.hazardous && errors.Is(err, pcie.ErrLinkDown) {
 		if attempt < s.cfg.Retry.Attempts() {
 			next := attempt + 1
-			r.retries++
-			s.obsInstant(r.a, obs.TypeRetry, 0, r.track, "", from+"→"+to, int64(next))
-			s.Eng.Schedule(s.inj.RetryBackoff(s.cfg.Retry, next), r.guard(func() {
-				r.fabricAttempt(from, to, next, start)
+			u.members[0].retries++
+			s.obsInstant(u.a, obs.TypeRetry, 0, u.track, "", from+"→"+to, int64(next))
+			s.Eng.Schedule(s.inj.RetryBackoff(s.cfg.Retry, next), u.guard(func() {
+				u.fabricAttempt(from, to, next, start)
 			}))
 			return
 		}
-		r.abandon()
+		u.abandon()
 		return
 	}
-	r.fail(fmt.Errorf("dmxsys: transfer %s→%s: %w", from, to, err))
+	u.fail(fmt.Errorf("dmxsys: transfer %s→%s: %w", from, to, err))
 }
 
-// stepInput ships the request payload host → first accelerator, then
+// startLeg begins the DMA leg the unit now has in flight: it emits the
+// leg's instant and records the leg for landed.
+func (u *unit) startLeg(typ obs.Type, step uint8, from, to string, bytes int64) {
+	u.s.obsInstant(u.a, typ, step, from, to, "", bytes)
+	u.leg = dmaLeg{typ: typ, step: step, from: from, to: to, bytes: bytes, begin: u.s.Eng.Now()}
+}
+
+// dma moves bytes from → to as one fabric DMA leg: it charges the
+// route's occupancy now and starts the transfer after delay (the driver
+// round trip and descriptor setup the leg pays); arrived runs on
+// delivery.
+func (u *unit) dma(typ obs.Type, step uint8, from, to string, bytes int64, delay sim.Duration, arrived func()) {
+	u.s.occupyPath(u.a, from, to, bytes)
+	u.s.Eng.Schedule(delay, u.guard(func() {
+		u.startLeg(typ, step, from, to, bytes)
+		u.transfer(from, to, bytes, arrived)
+	}))
+}
+
+// landed closes the leg in flight, called from the transfer's
+// completion: a span on the unit's trace track plus a flow arrow between
+// the source and destination device tracks, then the movement lap.
+func (u *unit) landed() {
+	if s, l := u.s, &u.leg; s.rec != nil {
+		now := s.Eng.Now()
+		s.sink().Span(obs.Time(l.begin), obs.Duration(now.Sub(l.begin)), l.typ, obs.PhaseNone,
+			l.step, u.track, u.a.pipe.Name, "", l.bytes)
+		if l.from != l.to {
+			s.sink().FlowPair(obs.Time(l.begin), obs.Time(now), l.typ, l.from, l.to, u.a.pipe.Name, "", l.bytes)
+		}
+	}
+	u.lap(phaseMovement)
+}
+
+// stepInput ships the unit's payload host → first accelerator, then
 // enters the kernel/hop chain.
-func (r *request) stepInput() {
-	s, a := r.s, r.a
-	s.occupyPath(a, pcie.Root, a.accelDev[0], a.pipe.InputBytes)
-	s.obsInstant(a, obs.TypeInputDMA, 0, pcie.Root, a.accelDev[0], "", a.pipe.InputBytes)
-	r.legBegin = s.Eng.Now()
-	r.transfer(pcie.Root, a.accelDev[0], a.pipe.InputBytes, r.inputArrived)
+func (u *unit) stepInput() {
+	s, a := u.s, u.a
+	bytes := u.n() * a.pipe.InputBytes
+	s.occupyPath(a, pcie.Root, a.accelDev[0], bytes)
+	u.startLeg(obs.TypeInputDMA, 0, pcie.Root, a.accelDev[0], bytes)
+	u.transfer(pcie.Root, a.accelDev[0], bytes, u.inputArrived)
 }
 
-func (r *request) inputArrived() {
-	a := r.a
-	r.obsDMA(obs.TypeInputDMA, 0, pcie.Root, a.accelDev[0], a.pipe.InputBytes, r.legBegin)
-	r.lap(phaseMovement)
-	r.stepKernel()
+func (u *unit) inputArrived() {
+	u.landed()
+	u.stepKernel()
 }
 
-// stepKernel enqueues stage k's kernel on its accelerator.
-func (r *request) stepKernel() {
-	r.attempt = 1
-	r.kernelAttempt()
+// stepKernel enqueues stage k's kernel on its accelerator: one launch
+// over n× the bytes, which is where the launch-overhead amortization of
+// batching comes from.
+func (u *unit) stepKernel() {
+	u.attempt = 1
+	u.kernelAttempt()
 }
 
-func (r *request) kernelAttempt() {
-	s, a, k := r.s, r.a, r.k
+func (u *unit) kernelAttempt() {
+	s, a, k := u.s, u.a, u.k
 	st := a.pipe.Stages[k]
 	dev := a.accelDev[k]
 	if s.hazardous {
@@ -434,7 +533,7 @@ func (r *request) kernelAttempt() {
 		// the window closes (the device is wedged, not the driver).
 		if stall := s.inj.StallUntil(dev, s.Eng.Now()); stall > 0 {
 			s.obsInstant(a, obs.TypeStall, 0, dev, "", st.Accel.Name, int64(stall))
-			s.Eng.Schedule(stall, r.guard(r.kernelAttempt))
+			s.Eng.Schedule(stall, u.guard(u.kernelAttempt))
 			return
 		}
 	}
@@ -442,107 +541,110 @@ func (r *request) kernelAttempt() {
 	if k > 0 {
 		step = obs.StepNextKernel
 	}
-	s.obsInstant(a, obs.TypeKernelEnqueued, step, dev, "", st.Accel.Name, st.InBytes)
+	bytes := u.n() * st.InBytes
+	s.obsInstant(a, obs.TypeKernelEnqueued, step, dev, "", st.Accel.Name, bytes)
 	srv := s.servers[dev]
-	service := st.Accel.Latency(st.InBytes)
+	service := st.Accel.Latency(bytes)
 	a.occupyServer(srv, service)
-	r.arm(st.Accel.Name, r.kernelTimeout)
-	srv.SubmitKeyed(a.id, r.kernelKey(), service, r.guard(r.kernelDone))
+	u.arm(st.Accel.Name, true)
+	srv.SubmitKeyed(a.id, u.key(a.remAtKernel), service, u.guard(u.kernelDone))
 }
 
 // kernelTimeout handles a stage watchdog firing on a kernel execution:
 // re-attempt while the budget lasts (the stale execution's completion
 // is already invalidated by the epoch bump), else abandon.
-func (r *request) kernelTimeout() {
-	s := r.s
-	if r.attempt < s.cfg.Retry.Attempts() {
-		r.attempt++
-		r.retries++
-		st := r.a.pipe.Stages[r.k]
-		s.obsInstant(r.a, obs.TypeRetry, 0, r.track, "", st.Accel.Name, int64(r.attempt))
-		s.Eng.Schedule(s.inj.RetryBackoff(s.cfg.Retry, r.attempt), r.guard(r.kernelAttempt))
+func (u *unit) kernelTimeout() {
+	s := u.s
+	if u.attempt < s.cfg.Retry.Attempts() {
+		u.attempt++
+		u.members[0].retries++
+		st := u.a.pipe.Stages[u.k]
+		s.obsInstant(u.a, obs.TypeRetry, 0, u.track, "", st.Accel.Name, int64(u.attempt))
+		s.Eng.Schedule(s.inj.RetryBackoff(s.cfg.Retry, u.attempt), u.guard(u.kernelAttempt))
 		return
 	}
-	r.abandon()
+	u.abandon()
 }
 
-func (r *request) kernelDone() {
-	s, a, k := r.s, r.a, r.k
+func (u *unit) kernelDone() {
+	s, a, k := u.s, u.a, u.k
 	st := a.pipe.Stages[k]
-	r.disarm()
-	r.lap(phaseKernel)
+	u.disarm()
+	u.lap(phaseKernel)
 	s.obsInstant(a, obs.TypeKernelDone, obs.StepKernelDone, a.accelDev[k], "", st.Accel.Name, 0)
 	if k == len(a.pipe.Stages)-1 {
-		r.stepOutput()
+		u.stepOutput()
 		return
 	}
-	r.stepHop()
+	u.stepHop()
 }
 
 // nextStage advances the cursor past the completed hop and fires the
 // next kernel.
-func (r *request) nextStage() {
-	r.k++
-	r.stepKernel()
+func (u *unit) nextStage() {
+	u.k++
+	u.stepKernel()
 }
 
 // stepOutput returns the final result to the host.
-func (r *request) stepOutput() {
-	s, a := r.s, r.a
-	last := a.accelDev[len(a.accelDev)-1]
-	s.occupyPath(a, last, pcie.Root, a.pipe.OutputBytes)
-	s.Eng.Schedule(s.driverDelay()+DMASetupLatency, func() {
-		s.obsInstant(a, obs.TypeOutputDMA, 0, last, pcie.Root, "", a.pipe.OutputBytes)
-		r.legBegin = s.Eng.Now()
-		r.transfer(last, pcie.Root, a.pipe.OutputBytes, r.outputDone)
-	})
+func (u *unit) stepOutput() {
+	a := u.a
+	u.dma(obs.TypeOutputDMA, 0, a.accelDev[len(a.accelDev)-1], pcie.Root, u.n()*a.pipe.OutputBytes,
+		u.s.driverDelay()+DMASetupLatency, u.outputDone)
 }
 
-func (r *request) outputDone() {
-	a := r.a
-	last := a.accelDev[len(a.accelDev)-1]
-	r.obsDMA(obs.TypeOutputDMA, 0, last, pcie.Root, a.pipe.OutputBytes, r.legBegin)
-	r.lap(phaseMovement)
-	r.finish()
+func (u *unit) outputDone() {
+	u.landed()
+	u.complete()
 }
 
 // stepCPUKernel executes stage k's kernel in software on the shared
 // host channels (the AllCPU baseline; there is no device data
 // movement).
-func (r *request) stepCPUKernel() {
-	s, a, k := r.s, r.a, r.k
+func (u *unit) stepCPUKernel() {
+	s, a, k := u.s, u.a, u.k
 	st := a.pipe.Stages[k]
+	bytes := u.n() * st.InBytes
 	// The kernel's software runtime expressed as compute work: its
 	// calibrated 16-core CPU latency times the socket's ops rate.
-	work := int64(st.Accel.CPULatency(st.InBytes).Seconds() * s.cpuCompute.Capacity())
+	work := int64(st.Accel.CPULatency(bytes).Seconds() * s.cpuCompute.Capacity())
 	if work < 1 {
 		work = 1
 	}
-	s.occupyCPU(a, work, st.InBytes)
-	s.obsInstant(a, obs.TypeKernelEnqueued, 0, pcie.Root, "", st.Accel.Name, st.InBytes)
-	s.cpuJob(work, st.InBytes, r.cpuKernelDone)
+	s.occupyCPU(a, work, bytes)
+	s.obsInstant(a, obs.TypeKernelEnqueued, 0, pcie.Root, "", st.Accel.Name, bytes)
+	s.cpuJob(work, bytes, u.cpuKernelDone)
 }
 
-func (r *request) cpuKernelDone() {
-	s, a, k := r.s, r.a, r.k
+func (u *unit) cpuKernelDone() {
+	s, a, k := u.s, u.a, u.k
 	st := a.pipe.Stages[k]
-	r.lap(phaseKernel)
+	u.lap(phaseKernel)
 	s.obsInstant(a, obs.TypeKernelDone, 0, pcie.Root, "", st.Accel.Name, 0)
 	if k == len(a.pipe.Stages)-1 {
-		r.finish()
+		u.complete()
 		return
 	}
-	h := a.pipe.Hops[k]
-	ops, bytes := s.restructureWork(h.Kernel)
-	s.occupyCPU(a, ops, bytes)
-	s.obsInstant(a, obs.TypeHostRestructure, 0, pcie.Root, "", h.Kernel.Name, h.InBytes)
-	s.cpuJob(ops, bytes, r.cpuRestructured)
+	u.cpuRestructure(u.cpuRestructured)
 }
 
-func (r *request) cpuRestructured() {
-	r.lap(phaseRestructure)
-	r.k++
-	r.stepCPUKernel()
+func (u *unit) cpuRestructured() {
+	u.lap(phaseRestructure)
+	u.k++
+	u.stepCPUKernel()
+}
+
+// cpuRestructure runs hop k's restructuring in software on the shared
+// host channels, then next. Software restructuring streams the payload,
+// so the unit's work is n× the per-request work: nothing amortizes.
+func (u *unit) cpuRestructure(next func()) {
+	s, a := u.s, u.a
+	h := a.pipe.Hops[u.k]
+	ops, bytes := s.restructureWork(h.Kernel)
+	ops, bytes = ops*u.n(), bytes*u.n()
+	s.obsInstant(a, obs.TypeHostRestructure, 0, pcie.Root, "", h.Kernel.Name, u.hopIn())
+	s.occupyCPU(a, ops, bytes)
+	s.cpuJob(ops, bytes, next)
 }
 
 // hopEntryDelay is the driver cost to enter hop k: a full driver
@@ -550,170 +652,112 @@ func (r *request) cpuRestructured() {
 // fused program from the previous hop still holds the DRX unit — the
 // resident program chained the follower's descriptors when it loaded, so
 // no interrupt is taken and no descriptor is programmed.
-func (r *request) hopEntryDelay() sim.Duration {
-	if r.hold != nil {
+func (u *unit) hopEntryDelay() sim.Duration {
+	if u.hold != nil {
 		return 0
 	}
-	return r.s.driverDelay() + DMASetupLatency
+	return u.s.driverDelay() + DMASetupLatency
 }
 
 // stepHop executes the data motion between stage k and k+1 under the
 // system's placement.
-func (r *request) stepHop() {
-	switch r.s.cfg.Placement {
+func (u *unit) stepHop() {
+	switch u.s.cfg.Placement {
 	case MultiAxl, Integrated:
-		r.hopHostIn()
+		u.hopHostIn()
 	case Standalone:
-		r.hopCardIn()
+		u.hopCardIn()
 	case PCIeIntegrated:
-		r.hopSwitchIn()
+		u.hopSwitchIn()
 	case BumpInTheWire:
-		r.hopBumpIn()
+		u.hopBumpIn()
 	default:
-		r.fail(fmt.Errorf("dmxsys: hop under %v", r.s.cfg.Placement))
+		u.fail(fmt.Errorf("dmxsys: hop under %v", u.s.cfg.Placement))
 	}
 }
 
-// hopHostIn: (S1) interrupt; DMA accel → host memory.
-func (r *request) hopHostIn() {
-	s, a, k := r.s, r.a, r.k
-	h := a.pipe.Hops[k]
-	from := a.accelDev[k]
-	s.occupyPath(a, from, pcie.Root, h.InBytes)
-	s.Eng.Schedule(r.hopEntryDelay(), func() {
-		s.obsInstant(a, obs.TypeHostDMA, 0, from, pcie.Root, "", h.InBytes)
-		r.legBegin = s.Eng.Now()
-		r.transfer(from, pcie.Root, h.InBytes, r.hopHostArrived)
-	})
+// hopIn and hopOut are hop k's payload into and out of restructuring,
+// for the whole unit.
+func (u *unit) hopIn() int64  { return u.n() * u.a.pipe.Hops[u.k].InBytes }
+func (u *unit) hopOut() int64 { return u.n() * u.a.pipe.Hops[u.k].OutBytes }
+
+// hopDone lands hop k's final leg and fires the next kernel.
+func (u *unit) hopDone() {
+	u.landed()
+	u.nextStage()
 }
 
-// hopHostArrived: (S2) restructure on the host (CPU or integrated DRX).
-func (r *request) hopHostArrived() {
-	a, k := r.a, r.k
-	h := a.pipe.Hops[k]
-	r.obsDMA(obs.TypeHostDMA, 0, a.accelDev[k], pcie.Root, h.InBytes, r.legBegin)
-	r.lap(phaseMovement)
-	r.restructureHost(r.hopHostRestructured)
+// hopArrived lands hop k's leg into a DRX unit and restructures there.
+func (u *unit) hopArrived() {
+	u.landed()
+	u.restructureDRX()
+}
+
+// hopHostIn: (S1) interrupt; DMA accel → host memory; (S2) restructure
+// on the host (CPU or integrated DRX).
+func (u *unit) hopHostIn() {
+	u.dma(obs.TypeHostDMA, 0, u.a.accelDev[u.k], pcie.Root, u.hopIn(), u.hopEntryDelay(), u.hopHostArrived)
+}
+
+func (u *unit) hopHostArrived() {
+	u.landed()
+	u.restructureHost()
 }
 
 // hopHostRestructured: (S3) DMA host → next accelerator; (S4) the next
 // kernel fires.
-func (r *request) hopHostRestructured() {
-	s, a, k := r.s, r.a, r.k
-	h := a.pipe.Hops[k]
-	to := a.accelDev[k+1]
-	r.lap(phaseRestructure)
-	s.occupyPath(a, pcie.Root, to, h.OutBytes)
-	s.Eng.Schedule(DMASetupLatency, func() {
-		s.obsInstant(a, obs.TypeHostDMA, 0, pcie.Root, to, "", h.OutBytes)
-		r.legBegin = s.Eng.Now()
-		r.transfer(pcie.Root, to, h.OutBytes, r.hopHostDone)
-	})
-}
-
-func (r *request) hopHostDone() {
-	a, k := r.a, r.k
-	h := a.pipe.Hops[k]
-	r.obsDMA(obs.TypeHostDMA, 0, pcie.Root, a.accelDev[k+1], h.OutBytes, r.legBegin)
-	r.lap(phaseMovement)
-	r.nextStage()
+func (u *unit) hopHostRestructured() {
+	u.lap(phaseRestructure)
+	u.dma(obs.TypeHostDMA, 0, pcie.Root, u.a.accelDev[u.k+1], u.hopOut(), DMASetupLatency, u.hopDone)
 }
 
 // hopCardIn: P2P DMA accel → the app's standalone DRX card.
-func (r *request) hopCardIn() {
-	s, a, k := r.s, r.a, r.k
-	h := a.pipe.Hops[k]
-	from := a.accelDev[k]
-	s.occupyPath(a, from, a.sdrxDev, h.InBytes)
-	s.Eng.Schedule(r.hopEntryDelay(), func() {
-		s.obsInstant(a, obs.TypeP2PDMA, obs.StepRXDMA, from, a.sdrxDev, "", h.InBytes)
-		r.legBegin = s.Eng.Now()
-		r.transfer(from, a.sdrxDev, h.InBytes, r.hopCardArrived)
-	})
-}
-
-func (r *request) hopCardArrived() {
-	a, k := r.a, r.k
-	h := a.pipe.Hops[k]
-	r.obsDMA(obs.TypeP2PDMA, obs.StepRXDMA, a.accelDev[k], a.sdrxDev, h.InBytes, r.legBegin)
-	r.lap(phaseMovement)
-	r.restructureDRX(r.hopCardRestructured)
+func (u *unit) hopCardIn() {
+	a := u.a
+	u.dma(obs.TypeP2PDMA, obs.StepRXDMA, a.accelDev[u.k], a.sdrxDev, u.hopIn(), u.hopEntryDelay(), u.hopArrived)
 }
 
 // hopCardRestructured: P2P from the card to the next accelerator.
-func (r *request) hopCardRestructured() {
-	s, a, k := r.s, r.a, r.k
-	h := a.pipe.Hops[k]
-	to := a.accelDev[k+1]
-	r.lap(phaseRestructure)
-	s.occupyPath(a, a.sdrxDev, to, h.OutBytes)
-	s.Eng.Schedule(s.driverDelay()+DMASetupLatency, func() {
-		s.obsInstant(a, obs.TypeP2PDMA, obs.StepP2PDMA, a.sdrxDev, to, "", h.OutBytes)
-		r.legBegin = s.Eng.Now()
-		r.transfer(a.sdrxDev, to, h.OutBytes, r.hopCardDone)
-	})
-}
-
-func (r *request) hopCardDone() {
-	a, k := r.a, r.k
-	h := a.pipe.Hops[k]
-	r.obsDMA(obs.TypeP2PDMA, obs.StepP2PDMA, a.sdrxDev, a.accelDev[k+1], h.OutBytes, r.legBegin)
-	r.lap(phaseMovement)
-	r.nextStage()
+func (u *unit) hopCardRestructured() {
+	a := u.a
+	u.lap(phaseRestructure)
+	u.dma(obs.TypeP2PDMA, obs.StepP2PDMA, a.sdrxDev, a.accelDev[u.k+1], u.hopOut(),
+		u.s.driverDelay()+DMASetupLatency, u.hopDone)
 }
 
 // hopSwitchIn: up into the switch, restructure at line rate, down to
 // the peer (saves the DRX round trip; Sec. VII-B).
-func (r *request) hopSwitchIn() {
-	s, a, k := r.s, r.a, r.k
-	h := a.pipe.Hops[k]
-	from := a.accelDev[k]
-	drxTrack := "drx." + a.sw
+func (u *unit) hopSwitchIn() {
+	s, a := u.s, u.a
+	from := a.accelDev[u.k]
+	bytes := u.hopIn()
 	if l, err := s.Fabric.UpLink(from); err == nil {
-		a.occupy(l.Name, sim.BytesAt(h.InBytes, l.Bandwidth))
+		a.occupy(l.Name, sim.BytesAt(bytes, l.Bandwidth))
 	}
-	s.Eng.Schedule(r.hopEntryDelay(), func() {
-		s.obsInstant(a, obs.TypeP2PDMA, obs.StepRXDMA, from, drxTrack, "", h.InBytes)
-		r.legBegin = s.Eng.Now()
-		arrived := r.guard(r.hopSwitchArrived)
-		r.fabricAttempt(from, drxTrack, 1, func() error {
-			return s.Fabric.TransferUp(from, h.InBytes, arrived)
+	s.Eng.Schedule(u.hopEntryDelay(), func() {
+		u.startLeg(obs.TypeP2PDMA, obs.StepRXDMA, from, "drx."+a.sw, bytes)
+		arrived := u.guard(u.hopArrived)
+		u.fabricAttempt(from, u.leg.to, 1, func() error {
+			return s.Fabric.TransferUp(from, bytes, arrived)
 		})
 	})
 }
 
-func (r *request) hopSwitchArrived() {
-	a, k := r.a, r.k
-	h := a.pipe.Hops[k]
-	r.obsDMA(obs.TypeP2PDMA, obs.StepRXDMA, a.accelDev[k], "drx."+a.sw, h.InBytes, r.legBegin)
-	r.lap(phaseMovement)
-	r.restructureDRX(r.hopSwitchRestructured)
-}
-
 // hopSwitchRestructured: straight down to the peer — no driver round
 // trip between the in-switch restructure and the down leg.
-func (r *request) hopSwitchRestructured() {
-	s, a, k := r.s, r.a, r.k
-	h := a.pipe.Hops[k]
-	to := a.accelDev[k+1]
-	r.lap(phaseRestructure)
+func (u *unit) hopSwitchRestructured() {
+	s, a := u.s, u.a
+	to := a.accelDev[u.k+1]
+	bytes := u.hopOut()
+	u.lap(phaseRestructure)
 	if l, err := s.Fabric.DownLink(to); err == nil {
-		a.occupy(l.Name, sim.BytesAt(h.OutBytes, l.Bandwidth))
+		a.occupy(l.Name, sim.BytesAt(bytes, l.Bandwidth))
 	}
-	s.obsInstant(a, obs.TypeP2PDMA, obs.StepP2PDMA, "drx."+a.sw, to, "", h.OutBytes)
-	r.legBegin = s.Eng.Now()
-	done := r.guard(r.hopSwitchDone)
-	r.fabricAttempt("drx."+a.sw, to, 1, func() error {
-		return s.Fabric.TransferDown(to, h.OutBytes, done)
+	u.startLeg(obs.TypeP2PDMA, obs.StepP2PDMA, "drx."+a.sw, to, bytes)
+	done := u.guard(u.hopDone)
+	u.fabricAttempt(u.leg.from, to, 1, func() error {
+		return s.Fabric.TransferDown(to, bytes, done)
 	})
-}
-
-func (r *request) hopSwitchDone() {
-	a, k := r.a, r.k
-	h := a.pipe.Hops[k]
-	r.obsDMA(obs.TypeP2PDMA, obs.StepP2PDMA, "drx."+a.sw, a.accelDev[k+1], h.OutBytes, r.legBegin)
-	r.lap(phaseMovement)
-	r.nextStage()
 }
 
 // hopBumpIn begins the Fig. 10 inline sequence: ① kernel done
@@ -721,152 +765,133 @@ func (r *request) hopSwitchDone() {
 // restructure into the TX queue ⑧ interrupt ⑨⑩ P2P DMA through the
 // fabric to the peer accelerator (its own DRX is a pass-through)
 // ⑪ kernel fires. Queue head/tail bookkeeping backpressures if a queue
-// fills.
-func (r *request) hopBumpIn() {
-	s, a, k := r.s, r.a, r.k
-	h := a.pipe.Hops[k]
+// fills; the batch-size cap (appInstance.maxBatch) guarantees a unit's
+// payload fits a queue, so admission always eventually succeeds.
+func (u *unit) hopBumpIn() {
+	s, a, k := u.s, u.a, u.k
 	rx, tx, err := s.hopQueues(a, k)
 	if err != nil {
-		r.fail(fmt.Errorf("dmxsys: %w", err))
+		u.fail(fmt.Errorf("dmxsys: %w", err))
 		return
 	}
-	r.rx, r.tx = rx, tx
+	u.rx, u.tx = rx, tx
 	from := a.accelDev[k]
-	drxTrack := "drx." + from
 	link := pcie.LinkConfig{Gen: s.cfg.Gen, Lanes: s.cfg.AccelLanes}
+	bytes := u.hopIn()
 	s.Eng.Schedule(s.driverDelay()+DMASetupLatency, func() {
-		s.queueAdmit(r.rx, h.InBytes, func() {
-			r.rxHeld = h.InBytes
-			s.obsInstant(a, obs.TypeQueueDMA, obs.StepRXDMA, from, drxTrack, "", h.InBytes)
-			r.legBegin = s.Eng.Now()
-			s.localBytes += h.InBytes
-			s.Eng.Schedule(sim.BytesAt(h.InBytes, link.Bandwidth()), r.guard(r.hopBumpAtDRX))
+		s.queueAdmit(u.rx, bytes, func() {
+			u.rxHeld = bytes
+			u.startLeg(obs.TypeQueueDMA, obs.StepRXDMA, from, "drx."+from, bytes)
+			s.localBytes += bytes
+			s.Eng.Schedule(sim.BytesAt(bytes, link.Bandwidth()), u.guard(u.hopArrived))
 		})
 	})
 }
 
-func (r *request) hopBumpAtDRX() {
-	a, k := r.a, r.k
-	h := a.pipe.Hops[k]
-	r.obsDMA(obs.TypeQueueDMA, obs.StepRXDMA, a.accelDev[k], "drx."+a.accelDev[k], h.InBytes, r.legBegin)
-	r.lap(phaseMovement)
-	r.restructureDRX(r.hopBumpRestructured)
-}
-
 // hopBumpRestructured: the restructured payload claims TX queue space
 // before the RX slot is released.
-func (r *request) hopBumpRestructured() {
-	h := r.a.pipe.Hops[r.k]
-	r.s.queueAdmit(r.tx, h.OutBytes, r.guard(r.hopBumpTXAdmitted))
+func (u *unit) hopBumpRestructured() {
+	u.s.queueAdmit(u.tx, u.hopOut(), u.guard(u.hopBumpTXAdmitted))
 }
 
-func (r *request) hopBumpTXAdmitted() {
-	s, a, k := r.s, r.a, r.k
-	h := a.pipe.Hops[k]
-	from := a.accelDev[k]
-	to := a.accelDev[k+1]
-	r.txHeld = h.OutBytes
-	if r.rx != nil {
-		if err := r.rx.Dequeue(h.InBytes); err != nil {
-			r.fail(fmt.Errorf("dmxsys: %w", err))
+func (u *unit) hopBumpTXAdmitted() {
+	a := u.a
+	from, to := a.accelDev[u.k], a.accelDev[u.k+1]
+	bytes := u.hopOut()
+	u.txHeld = bytes
+	if u.rx != nil && u.rxHeld > 0 {
+		// Release whatever RX share the unit still holds (peeled members
+		// took their per-request share with them).
+		if err := u.rx.Dequeue(u.rxHeld); err != nil {
+			u.fail(fmt.Errorf("dmxsys: %w", err))
 			return
 		}
-		r.rxHeld = 0
+		u.rxHeld = 0
 	}
-	r.lap(phaseRestructure)
-	s.occupyPath(a, from, to, h.OutBytes)
-	s.obsInstant(a, obs.TypeTXReady, obs.StepTXReady, "drx."+from, "", "", h.OutBytes)
-	s.Eng.Schedule(s.driverDelay()+DMASetupLatency, func() {
-		s.obsInstant(a, obs.TypeP2PDMA, obs.StepP2PDMA, from, to, "", h.OutBytes)
-		r.legBegin = s.Eng.Now()
-		r.transfer(from, to, h.OutBytes, r.hopBumpDone)
-	})
+	u.lap(phaseRestructure)
+	u.s.obsInstant(a, obs.TypeTXReady, obs.StepTXReady, "drx."+from, "", "", bytes)
+	u.dma(obs.TypeP2PDMA, obs.StepP2PDMA, from, to, bytes, u.s.driverDelay()+DMASetupLatency, u.hopBumpDone)
 }
 
-func (r *request) hopBumpDone() {
-	a, k := r.a, r.k
-	h := a.pipe.Hops[k]
-	from := a.accelDev[k]
-	to := a.accelDev[k+1]
-	if r.tx != nil {
-		if err := r.tx.Dequeue(h.OutBytes); err != nil {
-			r.fail(fmt.Errorf("dmxsys: %w", err))
+func (u *unit) hopBumpDone() {
+	if u.tx != nil && u.txHeld > 0 {
+		if err := u.tx.Dequeue(u.txHeld); err != nil {
+			u.fail(fmt.Errorf("dmxsys: %w", err))
 			return
 		}
-		r.txHeld = 0
+		u.txHeld = 0
 	}
-	r.obsDMA(obs.TypeP2PDMA, obs.StepP2PDMA, from, to, h.OutBytes, r.legBegin)
-	r.lap(phaseMovement)
-	r.nextStage()
+	u.hopDone()
 }
 
 // restructureHost dispatches hop k's restructuring at the host: on the
 // shared CPU channels for MultiAxl, on the single integrated DRX
 // otherwise.
-func (r *request) restructureHost(done func()) {
-	s, a, k := r.s, r.a, r.k
-	if s.cfg.Placement == Integrated {
-		r.restructureDRX(done)
+func (u *unit) restructureHost() {
+	if u.s.cfg.Placement == Integrated {
+		u.restructureDRX()
 		return
 	}
+	u.cpuRestructure(u.hopHostRestructured)
+}
+
+// restructureDRX queues hop k's kernel on the app's DRX unit, at n× the
+// per-request service (DRX execution streams data; a batch buys one
+// dispatch, not faster restructuring), handling injected faults:
+//
+//   - a unit inside an outage window degrades the hop to the CPU
+//     fallback immediately (the incident is device-level; every
+//     member's payload is on it);
+//   - a transient restructure error is retried with backoff until the
+//     attempt budget runs out, then degrades — a batch rolls it per
+//     member and peels the failures into units of their own (see
+//     faulted);
+//   - a configured stage watchdog degrades a restructure that overstays
+//     its deadline (e.g. parked behind a retry storm).
+func (u *unit) restructureDRX() {
+	u.attempt = 1
+	u.restructureAttempt()
+}
+
+func (u *unit) restructureAttempt() {
+	s, a, k := u.s, u.a, u.k
 	h := a.pipe.Hops[k]
-	s.obsInstant(a, obs.TypeHostRestructure, 0, pcie.Root, "", h.Kernel.Name, h.InBytes)
-	ops, bytes := s.restructureWork(h.Kernel)
-	s.occupyCPU(a, ops, bytes)
-	s.cpuJob(ops, bytes, done)
-}
-
-// restructureDRX queues hop k's kernel on the app's DRX unit, handling
-// injected faults: a unit inside an outage window degrades the hop to
-// the CPU fallback immediately; a transient restructure error is
-// retried with backoff until the attempt budget runs out, then
-// degrades; a configured stage watchdog degrades a restructure that
-// overstays its deadline (e.g. parked behind a retry storm).
-func (r *request) restructureDRX(done func()) {
-	r.attempt = 1
-	r.restructureAttempt(done)
-}
-
-func (r *request) restructureAttempt(done func()) {
-	s, a, k := r.s, r.a, r.k
-	kern := a.pipe.Hops[k].Kernel
-	unit := a.drxServer[k].Name()
+	drx := a.drxServer[k].Name()
 	if s.hazardous {
-		if down, _ := s.inj.DRXDown(unit, s.Eng.Now()); down {
-			r.degradeHop()
+		if down, _ := s.inj.DRXDown(drx, s.Eng.Now()); down {
+			u.degradeHop()
 			return
 		}
 	}
-	s.obsInstant(a, obs.TypeRestructure, obs.StepRestructure,
-		unit, "", kern.Name, a.pipe.Hops[k].InBytes)
+	s.obsInstant(a, obs.TypeRestructure, obs.StepRestructure, drx, "", h.Kernel.Name, u.hopIn())
 	switch f := a.fusionAt(k); f.role {
 	case fuseLeader:
-		r.fusedLeader(f, done)
+		u.fusedLeader(f)
 		return
 	case fuseFollower:
-		if r.hold != nil {
-			r.fusedResume(f, done)
+		if u.hold != nil {
+			u.fusedResume(f)
 			return
 		}
 		// No resident program (the leader degraded, or a transient retry
 		// released the hold): fall through to the standalone submit of
 		// this hop's unfused kernel.
 	}
-	d, err := s.drxServiceTime(kern)
+	d, err := s.drxServiceTime(h.Kernel)
 	if err != nil {
 		// Cache warmed in New; reachable only on a mutated config.
-		r.fail(fmt.Errorf("dmxsys: %w", err))
+		u.fail(fmt.Errorf("dmxsys: %w", err))
 		return
 	}
+	d *= sim.Duration(u.n())
 	a.occupyServer(a.drxServer[k], d)
-	r.arm(unit, r.degradeHop)
-	a.drxServer[k].SubmitKeyed(a.id, r.hopKey(), d, r.guard(func() {
-		r.disarm()
-		if s.hazardous && s.inj.TransientFault(unit) {
-			r.retryRestructure(done)
+	u.arm(drx, false)
+	a.drxServer[k].SubmitKeyed(a.id, u.key(a.remAtHop), d, u.guard(func() {
+		u.disarm()
+		if s.hazardous && u.faulted(drx, nil) {
 			return
 		}
-		done()
+		u.restructured()
 	}))
 }
 
@@ -874,90 +899,113 @@ func (r *request) restructureAttempt(done func()) {
 // DRX slot when it completes: the merged program stays loaded (resident
 // context) while the intermediate accelerator stage runs, and the
 // follower hop resumes its second segment without re-arbitrating.
-func (r *request) fusedLeader(f hopFusion, done func()) {
-	s, a, k := r.s, r.a, r.k
-	unit := a.drxServer[k].Name()
-	a.occupyServer(a.drxServer[k], f.part)
-	r.arm(unit, r.degradeHop)
+func (u *unit) fusedLeader(f hopFusion) {
+	s, a, k := u.s, u.a, u.k
+	drx := a.drxServer[k].Name()
+	part := f.part * sim.Duration(u.n())
+	a.occupyServer(a.drxServer[k], part)
+	u.arm(drx, false)
 	// The hold callback bypasses guard: a guarded drop (watchdog fired,
-	// request retired) would leak the retained slot and wedge the unit,
-	// so staleness must release it explicitly.
-	e := r.epoch
-	a.drxServer[k].SubmitKeyedHold(a.id, r.hopKey(), f.part, func(h *sim.Hold) {
-		if r.done == nil || r.epoch != e {
+	// unit retired) would leak the retained slot and wedge the DRX, so
+	// staleness must release it explicitly.
+	e := u.epoch
+	a.drxServer[k].SubmitKeyedHold(a.id, u.key(a.remAtHop), part, func(h *sim.Hold) {
+		if u.dead || u.epoch != e {
 			h.Release()
 			return
 		}
-		r.disarm()
-		if s.hazardous && s.inj.TransientFault(unit) {
-			// The fused program faulted in its first half: drop residency
-			// and rejoin the standard transient-retry path (the retry
-			// reloads and resubmits the program as a leader again).
-			h.Release()
-			r.retryRestructure(done)
+		u.disarm()
+		// A fault in the fused program's first half drops residency; the
+		// retry reloads and resubmits the program as a leader again.
+		if s.hazardous && u.faulted(drx, h) {
 			return
 		}
-		r.hold = h
-		r.holdAt = s.Eng.Now()
-		done()
+		u.hold = h
+		u.holdAt = s.Eng.Now()
+		u.restructured()
 	})
 }
 
 // fusedResume runs the fused program's second segment on the slot the
-// leader hop retained. The unit was held (occupied but idle) across the
-// gap; the request charges that residency plus the segment, which is
+// leader hop retained. The DRX was held (occupied but idle) across the
+// gap; the unit charges that residency plus the segment, which is
 // exactly what the station's slot could not serve others for.
-func (r *request) fusedResume(f hopFusion, done func()) {
-	s, a, k := r.s, r.a, r.k
-	unit := a.drxServer[k].Name()
-	hold := r.hold
-	r.hold = nil
-	a.occupyServer(a.drxServer[k], s.Eng.Now().Sub(r.holdAt)+f.part)
-	r.arm(unit, r.degradeHop)
-	hold.Resume(f.part, r.guard(func() {
-		r.disarm()
-		if s.hazardous && s.inj.TransientFault(unit) {
-			// The resident context is spent; the retry resubmits this
-			// hop's unfused kernel standalone.
-			r.retryRestructure(done)
+func (u *unit) fusedResume(f hopFusion) {
+	s, a, k := u.s, u.a, u.k
+	drx := a.drxServer[k].Name()
+	hold := u.hold
+	u.hold = nil
+	part := f.part * sim.Duration(u.n())
+	a.occupyServer(a.drxServer[k], s.Eng.Now().Sub(u.holdAt)+part)
+	u.arm(drx, false)
+	hold.Resume(part, u.guard(func() {
+		u.disarm()
+		// The resident context is spent; a retry resubmits this hop's
+		// unfused kernel standalone.
+		if s.hazardous && u.faulted(drx, nil) {
 			return
 		}
-		done()
+		u.restructured()
 	}))
 }
 
-// restructureContinuation is the step that follows hop k's successful
-// DRX restructuring under the current placement — the continuation a
-// request peeled out of a failing batch resumes with once its solo
-// retry of the restructure succeeds.
-func (r *request) restructureContinuation() func() {
-	switch r.s.cfg.Placement {
-	case Integrated:
-		return r.hopHostRestructured
-	case Standalone:
-		return r.hopCardRestructured
-	case PCIeIntegrated:
-		return r.hopSwitchRestructured
-	case BumpInTheWire:
-		return r.hopBumpRestructured
+// faulted rolls the DRX's transient-fault odds for a restructure that
+// just completed and reports whether the walk stops here. A solo unit
+// rolls once and, on a fault, drops any fused residency (hold) and
+// retries in place. A batch rolls once per member in arrival order and
+// peels each faulted member into a unit of its own (batch.go); it stops
+// only when every member peeled, releasing the hold and the shell.
+func (u *unit) faulted(drx string, hold *sim.Hold) bool {
+	if !u.batched {
+		if !u.s.inj.TransientFault(drx) {
+			return false
+		}
+		if hold != nil {
+			hold.Release()
+		}
+		u.retryRestructure()
+		return true
 	}
-	return func() { r.fail(fmt.Errorf("dmxsys: restructure under %v", r.s.cfg.Placement)) }
+	u.peelTransients(drx)
+	if len(u.members) > 0 {
+		return false
+	}
+	if hold != nil {
+		hold.Release()
+	}
+	u.release()
+	return true
+}
+
+// restructured continues hop k once its DRX restructuring succeeded:
+// the placement's out leg toward stage k+1.
+func (u *unit) restructured() {
+	switch u.s.cfg.Placement {
+	case Integrated:
+		u.hopHostRestructured()
+	case Standalone:
+		u.hopCardRestructured()
+	case PCIeIntegrated:
+		u.hopSwitchRestructured()
+	case BumpInTheWire:
+		u.hopBumpRestructured()
+	default:
+		u.fail(fmt.Errorf("dmxsys: restructure under %v", u.s.cfg.Placement))
+	}
 }
 
 // retryRestructure handles a transient restructure fault: re-attempt
 // after backoff while the budget lasts, then fall back to the CPU path.
-func (r *request) retryRestructure(done func()) {
-	s := r.s
-	if r.attempt < s.cfg.Retry.Attempts() {
-		r.attempt++
-		r.retries++
-		s.obsInstant(r.a, obs.TypeRetry, 0, r.track, "", r.a.drxServer[r.k].Name(), int64(r.attempt))
-		s.Eng.Schedule(s.inj.RetryBackoff(s.cfg.Retry, r.attempt), r.guard(func() {
-			r.restructureAttempt(done)
-		}))
+func (u *unit) retryRestructure() {
+	s := u.s
+	if u.attempt < s.cfg.Retry.Attempts() {
+		u.attempt++
+		u.members[0].retries++
+		s.obsInstant(u.a, obs.TypeRetry, 0, u.track, "", u.a.drxServer[u.k].Name(), int64(u.attempt))
+		s.Eng.Schedule(s.inj.RetryBackoff(s.cfg.Retry, u.attempt), u.guard(u.restructureAttempt))
 		return
 	}
-	r.degradeHop()
+	u.degradeHop()
 }
 
 // degradeHop completes hop k via CPU-mediated restructuring after its
@@ -965,68 +1013,38 @@ func (r *request) retryRestructure(done func()) {
 // accelerator's still-valid output buffer over the host bridge,
 // restructures in software (restructure.Run semantics — bit-identical
 // to the DRX result), and ships it to the consumer. This is the
-// paper's Multi-Axl baseline path grafted onto one hop: the request
+// paper's Multi-Axl baseline path grafted onto one hop: every member
 // completes slower instead of failing.
-func (r *request) degradeHop() {
-	s, a, k := r.s, r.a, r.k
-	h := a.pipe.Hops[k]
-	if r.outcome == traffic.OutcomeClean {
-		r.outcome = traffic.OutcomeDegraded
+func (u *unit) degradeHop() {
+	s, a, k := u.s, u.a, u.k
+	for _, m := range u.members {
+		if m.outcome == traffic.OutcomeClean {
+			m.outcome = traffic.OutcomeDegraded
+		}
 	}
-	r.releaseQueues()
-	r.releaseHold()
-	s.obsInstant(a, obs.TypeDegrade, 0, r.track, "", a.drxServer[k].Name(), h.InBytes)
+	u.releaseQueues()
+	u.releaseHold()
+	s.obsInstant(a, obs.TypeDegrade, 0, u.track, "", a.drxServer[k].Name(), u.hopIn())
 	// Time burned on the failed DRX attempts counts as restructuring.
-	r.lap(phaseRestructure)
+	u.lap(phaseRestructure)
 	if s.cfg.Placement == Integrated {
 		// The hop's payload is already in host memory (hopHostIn
 		// brought it there); restructure in software and rejoin the
 		// normal host-mediated continuation.
-		ops, bytes := s.restructureWork(h.Kernel)
-		s.occupyCPU(a, ops, bytes)
-		s.obsInstant(a, obs.TypeHostRestructure, 0, pcie.Root, "", h.Kernel.Name, h.InBytes)
-		s.cpuJob(ops, bytes, r.guard(r.hopHostRestructured))
+		u.cpuRestructure(u.guard(u.hopHostRestructured))
 		return
 	}
-	from := a.accelDev[k]
-	s.occupyPath(a, from, pcie.Root, h.InBytes)
-	s.Eng.Schedule(s.driverDelay()+DMASetupLatency, r.guard(func() {
-		s.obsInstant(a, obs.TypeHostDMA, 0, from, pcie.Root, "", h.InBytes)
-		r.legBegin = s.Eng.Now()
-		r.transfer(from, pcie.Root, h.InBytes, r.degradeAtHost)
-	}))
+	u.dma(obs.TypeHostDMA, 0, a.accelDev[k], pcie.Root, u.hopIn(), s.driverDelay()+DMASetupLatency, u.degradeAtHost)
 }
 
-func (r *request) degradeAtHost() {
-	s, a, k := r.s, r.a, r.k
-	h := a.pipe.Hops[k]
-	r.obsDMA(obs.TypeHostDMA, 0, a.accelDev[k], pcie.Root, h.InBytes, r.legBegin)
-	r.lap(phaseMovement)
-	ops, bytes := s.restructureWork(h.Kernel)
-	s.occupyCPU(a, ops, bytes)
-	s.obsInstant(a, obs.TypeHostRestructure, 0, pcie.Root, "", h.Kernel.Name, h.InBytes)
-	s.cpuJob(ops, bytes, r.guard(r.degradeRestructured))
+func (u *unit) degradeAtHost() {
+	u.landed()
+	u.cpuRestructure(u.guard(u.degradeRestructured))
 }
 
-func (r *request) degradeRestructured() {
-	s, a, k := r.s, r.a, r.k
-	h := a.pipe.Hops[k]
-	to := a.accelDev[k+1]
-	r.lap(phaseRestructure)
-	s.occupyPath(a, pcie.Root, to, h.OutBytes)
-	s.Eng.Schedule(DMASetupLatency, r.guard(func() {
-		s.obsInstant(a, obs.TypeHostDMA, 0, pcie.Root, to, "", h.OutBytes)
-		r.legBegin = s.Eng.Now()
-		r.transfer(pcie.Root, to, h.OutBytes, r.degradeDone)
-	}))
-}
-
-func (r *request) degradeDone() {
-	a, k := r.a, r.k
-	h := a.pipe.Hops[k]
-	r.obsDMA(obs.TypeHostDMA, 0, pcie.Root, a.accelDev[k+1], h.OutBytes, r.legBegin)
-	r.lap(phaseMovement)
-	r.nextStage()
+func (u *unit) degradeRestructured() {
+	u.lap(phaseRestructure)
+	u.dma(obs.TypeHostDMA, 0, pcie.Root, u.a.accelDev[u.k+1], u.hopOut(), DMASetupLatency, u.hopDone)
 }
 
 // drive is the shared load driver under Run, RunStream, and RunLoad:

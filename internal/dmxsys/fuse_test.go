@@ -8,6 +8,7 @@ import (
 	"dmx/internal/faults"
 	"dmx/internal/restructure"
 	"dmx/internal/sim"
+	"dmx/internal/sweep"
 	"dmx/internal/traffic"
 )
 
@@ -53,7 +54,7 @@ func TestFuseHopsValidation(t *testing.T) {
 		want   string
 	}{
 		{"legal", func(c *Config) {}, ""},
-		{"with batching", func(c *Config) { c.BatchWindow = 100 * sim.Microsecond }, "mutually exclusive"},
+		{"with batching", func(c *Config) { c.BatchWindow = 100 * sim.Microsecond }, ""},
 		{"bump placement", func(c *Config) { c.Placement = BumpInTheWire }, "shared DRX unit"},
 		{"allcpu placement", func(c *Config) { c.Placement = AllCPU }, "shared DRX unit"},
 		{"negative hop", func(c *Config) { c.FuseHops = []FusePair{{App: 0, Hop: -1}} }, "negative"},
@@ -238,5 +239,119 @@ func TestEmptyFuseHopsBitIdentical(t *testing.T) {
 	cfg.FuseHops = []FusePair{}
 	if got := run(cfg); got != base {
 		t.Error("empty FuseHops changed the serving report")
+	}
+}
+
+// fusedLoad runs two fusible apps with both hop pairs fused under EDF,
+// optionally with DRX outages, transient faults, and the default retry
+// ladder; batched applies the batching window on top (nil = unbatched).
+func fusedLoad(p Placement, faulty bool, batched func(*Config)) (traffic.LoadReport, error) {
+	cfg := DefaultConfig(p)
+	cfg.Sched = SchedEDF
+	cfg.FuseHops = []FusePair{{App: 0, Hop: 0}, {App: 1, Hop: 0}}
+	if faulty {
+		cfg.Faults = &faults.Plan{
+			Seed:          5,
+			DRXMTBF:       2 * sim.Millisecond,
+			DRXRepair:     300 * sim.Microsecond,
+			TransientProb: 0.10,
+		}
+		cfg.Retry = faults.DefaultRetry()
+	}
+	if batched != nil {
+		batched(&cfg)
+	}
+	s, err := New(cfg, []*Pipeline{fusiblePipeline("a"), fusiblePipeline("b")})
+	if err != nil {
+		return traffic.LoadReport{}, err
+	}
+	return s.RunLoad(traffic.Spec{
+		Arrival: traffic.Poisson, Rate: 20000, Requests: 40, Seed: 13,
+		Deadline: 5 * sim.Millisecond,
+	})
+}
+
+func window(d sim.Duration) func(*Config) {
+	return func(c *Config) { c.BatchWindow = d; c.BatchMax = 8 }
+}
+
+var fusionPlacements = []Placement{Integrated, Standalone, PCIeIntegrated}
+
+// Fusion composes with batching: the fused leader/follower hold is unit
+// state, so a batch holds the DRX across the gap exactly like a solo
+// request. Every fused, batched run must drain on every fusion-legal
+// placement, with and without faults.
+func TestFusedBatchedLoadCompletes(t *testing.T) {
+	for _, p := range fusionPlacements {
+		for _, faulty := range []bool{false, true} {
+			rep, err := fusedLoad(p, faulty, window(200*sim.Microsecond))
+			if err != nil {
+				t.Fatalf("%v faults=%v: %v", p, faulty, err)
+			}
+			for _, a := range rep.PerApp {
+				if a.Completed+a.Abandoned != a.Requests {
+					t.Errorf("%v faults=%v %s: completed %d + abandoned %d != %d",
+						p, faulty, a.App, a.Completed, a.Abandoned, a.Requests)
+				}
+				if a.BatchedRequests <= a.Batches {
+					t.Errorf("%v faults=%v %s: %d batches carrying %d requests; no coalescing",
+						p, faulty, a.App, a.Batches, a.BatchedRequests)
+				}
+				if faulty && a.Retries == 0 && a.Degraded == 0 {
+					t.Errorf("%v %s: fault plan never fired", p, a.App)
+				}
+			}
+		}
+	}
+}
+
+// Fused, batched reports are byte-identical at any sweep worker count.
+func TestFusedBatchedDeterministicAcrossWorkers(t *testing.T) {
+	type cell struct {
+		p      Placement
+		faulty bool
+	}
+	var cells []cell
+	for _, p := range fusionPlacements {
+		cells = append(cells, cell{p, false}, cell{p, true})
+	}
+	runAll := func(workers int) []string {
+		prev := sweep.SetWorkers(workers)
+		defer sweep.SetWorkers(prev)
+		out, err := sweep.Map(cells, func(_ int, c cell) (string, error) {
+			rep, err := fusedLoad(c.p, c.faulty, window(200*sim.Microsecond))
+			return rep.String(), err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	want := runAll(1)
+	for _, w := range []int{2, 8} {
+		got := runAll(w)
+		for i := range cells {
+			if got[i] != want[i] {
+				t.Errorf("%v faults=%v: report differs between 1 and %d workers", cells[i].p, cells[i].faulty, w)
+			}
+		}
+	}
+}
+
+// A zero window routes a fused config down the unbatched fused path
+// byte-for-byte.
+func TestFusedWindowZeroByteIdenticalToUnbatched(t *testing.T) {
+	for _, faulty := range []bool{false, true} {
+		zero, err := fusedLoad(Integrated, faulty, window(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, err := fusedLoad(Integrated, faulty, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if zero.String() != base.String() {
+			t.Errorf("faults=%v: window=0 fused run diverged from the unbatched fused run:\n%s\nwant:\n%s", faulty, zero, base)
+		}
 	}
 }

@@ -62,10 +62,13 @@ type System struct {
 	// configured.
 	rec *obs.Recorder
 
-	// batchPool recycles retired batch shells (members slice and
-	// completion closures included) so steady-state batching never
-	// allocates beyond the requests themselves.
-	batchPool []*batch
+	// unitPool recycles retired unit shells (members slice included) so
+	// steady-state serving, solo or batched, never allocates a walker
+	// beyond the requests themselves.
+	unitPool []*unit
+	// units counts the shells ever allocated: once a run drains, the
+	// pool must hold every one of them (a missing shell leaked).
+	units int
 	// admitting is true while RunLoad drives the system; admission
 	// control applies only there (Run and RunStream issue fixed request
 	// sets whose reports have no rejection channel).

@@ -46,7 +46,8 @@ type Axes struct {
 	// Retry caps attempts per stage (0 = the caller's default policy).
 	Retry int
 	// Fuse lists the fused adjacent hop pairs (empty = no fusion;
-	// mutually exclusive with BatchWindow, shared-DRX placements only).
+	// shared-DRX placements only). The search keeps it apart from
+	// BatchWindow: opening a window drops the fusion set.
 	Fuse []dmxsys.FusePair
 }
 

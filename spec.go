@@ -59,8 +59,8 @@ type Spec struct {
 	BatchMax int `json:"batch_max,omitempty"`
 	// Admit bounds each app's outstanding requests (0 = unlimited).
 	Admit int `json:"admit,omitempty"`
-	// FuseHops fuses adjacent restructuring hops (mutually exclusive
-	// with BatchWindow; needs a shared-DRX placement).
+	// FuseHops fuses adjacent restructuring hops (needs a shared-DRX
+	// placement).
 	FuseHops []FusePair `json:"fuse_hops,omitempty"`
 
 	// Faults is a fault-injection spec in the dmxsim -faults syntax

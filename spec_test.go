@@ -137,9 +137,8 @@ func TestSpecResolveErrors(t *testing.T) {
 }
 
 // A one-host spec must replay byte-identically through both the
-// cluster path (Spec.Simulate) and direct resolution — and the fused
-// configuration must reach the system (fuse + batch conflicts surface
-// at build time).
+// cluster path (Spec.Simulate) and direct resolution — and a fused,
+// batched configuration must reach the system and run to completion.
 func TestSpecSimulateReplayAndConflicts(t *testing.T) {
 	s := Spec{
 		Apps: []string{"personal-info-redaction"}, Scale: "test",
@@ -160,10 +159,25 @@ func TestSpecSimulateReplayAndConflicts(t *testing.T) {
 	if rep.String() != direct.String() {
 		t.Error("Spec.Simulate diverges from resolving and simulating by hand")
 	}
-	s.FuseHops = []FusePair{{App: 0, Hop: 0}}
+	s.Apps = []string{"pir-ner"}
 	s.BatchWindow = "100us"
-	if _, err := s.Simulate(); err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
-		t.Errorf("fuse+batch conflict: %v", err)
+	s.Rate = 40000
+	batched, err := s.Simulate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.FuseHops = []FusePair{{App: 0, Hop: 0}}
+	fused, err := s.Simulate()
+	if err != nil {
+		t.Fatalf("fuse+batch: %v", err)
+	}
+	if fused.String() == batched.String() {
+		t.Error("fuse_hops did not reach the batched system")
+	}
+	for _, a := range fused.PerApp {
+		if a.Completed != a.Requests || a.Batches == 0 {
+			t.Errorf("%s: %d/%d completed over %d batches", a.App, a.Completed, a.Requests, a.Batches)
+		}
 	}
 }
 
