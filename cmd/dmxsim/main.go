@@ -68,27 +68,31 @@
 // The cluster-only flags (-shards, -net-*, -host-admit, -drain) are
 // rejected with -hosts 1 rather than silently ignored.
 //
-// -spec file.json loads a serialized experiment document (dmx.Spec —
-// the format the autotuner emits as TuneResult.Winner) as the base
-// configuration. Every field the document sets becomes the new default;
-// flags given explicitly on the command line still override it:
+// Every run flag is a field assignment on one dmx.Spec, the same JSON
+// document the autotuner emits as TuneResult.Winner, and Spec.Resolve
+// is the only place the run is validated and wired. -spec file.json
+// loads such a document first; the flags given on the command line then
+// overwrite just their own fields, so an explicit flag always wins:
 //
 //	dmxsim -spec tuned.json              # replay the document as-is
 //	dmxsim -spec tuned.json -requests 64 # same experiment, longer run
 //
-// Unknown fields in the document are rejected, and spec-only fields
-// with no flag equivalent (scale, fuse_hops) apply directly. A document
-// selecting multiple apps is rejected — dmxsim runs one benchmark name
-// or 'all'; replay multi-app specs with dmxbench -exp tune.
+// A document may select several apps (the header names them all) and
+// carries the fields no flag sets (scale, fuse_hops). Its drain field
+// is the -drain syntax. Unknown fields and trailing data are rejected.
+// Only the output options (-v, -trace, -stats, -trace-out) live outside
+// the Spec.
 package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 
 	"dmx"
@@ -96,242 +100,165 @@ import (
 	"dmx/internal/dmxsys"
 	"dmx/internal/faults"
 	"dmx/internal/obs"
-	"dmx/internal/pcie"
 	"dmx/internal/sim"
-	"dmx/internal/traffic"
-	"dmx/internal/workload"
 )
 
-var placements = map[string]dmxsys.Placement{
-	"allcpu":     dmxsys.AllCPU,
-	"multiaxl":   dmxsys.MultiAxl,
-	"integrated": dmxsys.Integrated,
-	"standalone": dmxsys.Standalone,
-	"pcie":       dmxsys.PCIeIntegrated,
-	"bump":       dmxsys.BumpInTheWire,
-}
-
-// options collects every flag so that run is testable with a fixed
-// configuration and an in-memory writer.
-type options struct {
-	app       string
-	napps     int
-	placement string
-	gen       int
-	lanes     int
-	verbose   bool
-	trace     bool
-	stats     bool
-	traceOut  string
-
-	// Spec-only knobs: carried from a -spec document, no flag of their
-	// own. scale selects workload geometry ("" = paper); fuse lists the
-	// fused hop pairs.
-	scale string
-	fuse  []dmxsys.FusePair
-
-	// Load-generation mode (empty arrival = classic one-shot run).
-	arrival    string
-	rate       float64
-	requests   int
-	seed       uint64
-	discipline string
-
-	// Serving SLO machinery (zero values = all disabled).
-	batchWindow string
-	batchMax    int
-	admit       int
-	slo         string
-
-	// Fault injection and recovery (empty faults = none injected).
-	faults    string
-	faultSeed uint64
-	retry     int
-	deadline  string
-
-	// Cluster mode (hosts > 1 replicates the config into a fleet).
-	hosts     int
-	router    string
-	hostAdmit int
-	drain     string
-	netCore   float64
-	netNIC    float64
-	netLat    string
-	shards    int
-}
-
 func main() {
-	var o options
-	flag.StringVar(&o.app, "app", "all", "benchmark name or 'all' (video-surveillance, sound-detection, brain-stimulation, personal-info-redaction, database-hash-join, pir-ner, genai-rag)")
-	flag.IntVar(&o.napps, "apps", 1, "concurrent application instances")
-	flag.StringVar(&o.placement, "placement", "bump", "allcpu | multiaxl | integrated | standalone | pcie | bump")
-	flag.IntVar(&o.gen, "gen", 3, "PCIe generation (3, 4, 5)")
-	flag.IntVar(&o.lanes, "lanes", 128, "DRX RE lanes (power of two)")
-	flag.BoolVar(&o.verbose, "v", false, "print per-app breakdowns")
-	flag.BoolVar(&o.trace, "trace", false, "print the Fig. 10 event trace")
-	flag.BoolVar(&o.stats, "stats", false, "print device utilization and per-stage latency histograms")
-	flag.StringVar(&o.traceOut, "trace-out", "", "write a Perfetto-loadable trace (Chrome trace-event JSON) to this file")
-	flag.StringVar(&o.arrival, "arrival", "", "load-generation arrival process: closed | open | poisson (empty = one request per app)")
-	flag.Float64Var(&o.rate, "rate", 1000, "offered request rate per app in req/s (open and poisson arrivals)")
-	flag.IntVar(&o.requests, "requests", 16, "requests per app in load-generation mode")
-	flag.Uint64Var(&o.seed, "seed", 1, "PRNG seed for poisson arrivals")
-	flag.StringVar(&o.discipline, "discipline", "fifo", "service discipline at contended stations: fifo | priority | wfq | edf | srs")
-	flag.StringVar(&o.batchWindow, "batch-window", "", "continuous-batching window, e.g. '200us' (empty = batching off)")
-	flag.IntVar(&o.batchMax, "batch-max", 0, "max requests per batch; reaching it flushes the window early (0 = uncapped)")
-	flag.IntVar(&o.admit, "admit", 0, "per-app admission limit on outstanding requests in load mode (0 = unlimited)")
-	flag.StringVar(&o.slo, "slo", "", "per-request latency budget, e.g. '30ms' (deadline-miss accounting; the deadline EDF schedules by)")
-	flag.StringVar(&o.faults, "faults", "", "fault-injection spec, e.g. 'drx=5ms/200us,transient=0.01,link=20ms/1ms/0.25,stall=10ms/500us'")
-	flag.Uint64Var(&o.faultSeed, "fault-seed", 0, "override the fault plan's PRNG seed (0 keeps the spec's seed)")
-	flag.IntVar(&o.retry, "retry", 0, "max attempts per stage under faults (0 = default policy of 3 when -faults is set)")
-	flag.StringVar(&o.deadline, "deadline", "", "per-stage watchdog deadline, e.g. '500us' (empty = no watchdog)")
-	flag.IntVar(&o.hosts, "hosts", 1, "fleet size: replicate the whole configuration onto N hosts behind the cluster router (needs -arrival)")
-	flag.StringVar(&o.router, "router", "score", "cluster routing policy: score (placement-aware headroom) | rr | least")
-	flag.IntVar(&o.hostAdmit, "host-admit", 0, "cluster-level cap on outstanding requests per host (0 = unlimited)")
-	flag.StringVar(&o.drain, "drain", "", "fault-aware draining as 'N/window', e.g. '3/2ms': drain a host with ≥N incidents inside the trailing window ('3' alone = unbounded window)")
-	flag.Float64Var(&o.netCore, "net-core", 0, "shared core network bandwidth in bytes/s per direction (0 = unmodeled)")
-	flag.Float64Var(&o.netNIC, "net-nic", 0, "per-host NIC bandwidth in bytes/s per direction (0 = unmodeled)")
-	flag.StringVar(&o.netLat, "net-lat", "", "one-way network propagation latency, e.g. '2us' (empty = none)")
-	flag.IntVar(&o.shards, "shards", 1, "event lanes for conservative-parallel fleet execution (needs -net-lat; output is byte-identical at any value)")
-	specPath := flag.String("spec", "", "load a JSON experiment Spec (dmx.Spec) as the base configuration; explicitly set flags override its fields")
-	flag.Parse()
-
-	if *specPath != "" {
-		doc, err := os.ReadFile(*specPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dmxsim: -spec: %v\n", err)
-			os.Exit(1)
-		}
-		s, err := dmx.UnmarshalSpec(doc)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dmxsim: -spec: %v\n", err)
-			os.Exit(1)
-		}
-		explicit := map[string]bool{}
-		flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-		o, err = applySpec(s, o, explicit)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dmxsim: -spec: %v\n", err)
-			os.Exit(1)
-		}
-	}
-
 	// One buffered writer carries everything — the event trace, the
 	// report, and the energy line — so output order is exactly emission
 	// order regardless of how the pieces are produced.
 	out := bufio.NewWriter(os.Stdout)
-	err := run(o, out)
+	err := run(os.Args[1:], out)
 	if ferr := out.Flush(); err == nil {
 		err = ferr
 	}
-	if err != nil {
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintf(os.Stderr, "dmxsim: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-// applySpec merges a Spec document under the parsed flags: every spec
-// field becomes the new base value unless the corresponding flag was
-// given explicitly on the command line (explicit[name]), in which case
-// the flag wins. Zero-valued spec fields leave the flag defaults alone,
-// so a sparse document overrides only what it mentions.
-func applySpec(s dmx.Spec, o options, explicit map[string]bool) (options, error) {
-	if len(s.Apps) > 0 && !explicit["app"] {
-		if len(s.Apps) > 1 {
-			return o, fmt.Errorf("spec selects %d apps; dmxsim runs one benchmark (or 'all') — use dmxbench -exp tune for multi-app specs", len(s.Apps))
-		}
-		o.app = s.Apps[0]
-	}
-	if s.Scale != "" {
-		switch s.Scale {
-		case "paper", "test":
-			o.scale = s.Scale
-		default:
-			return o, fmt.Errorf("spec scale %q (want \"paper\" or \"test\")", s.Scale)
-		}
-	}
-	o.fuse = append([]dmxsys.FusePair(nil), s.FuseHops...)
-	type merge struct {
-		flag  string
-		apply func()
-		skip  bool
-	}
-	for _, m := range []merge{
-		{"apps", func() { o.napps = s.Copies }, s.Copies == 0},
-		{"placement", func() { o.placement = s.Placement }, s.Placement == ""},
-		{"gen", func() { o.gen = s.Gen }, s.Gen == 0},
-		{"lanes", func() { o.lanes = s.Lanes }, s.Lanes == 0},
-		{"discipline", func() { o.discipline = s.Discipline }, s.Discipline == ""},
-		{"batch-window", func() { o.batchWindow = s.BatchWindow }, s.BatchWindow == ""},
-		{"batch-max", func() { o.batchMax = s.BatchMax }, s.BatchMax == 0},
-		{"admit", func() { o.admit = s.Admit }, s.Admit == 0},
-		{"faults", func() { o.faults = s.Faults }, s.Faults == ""},
-		{"fault-seed", func() { o.faultSeed = s.FaultSeed }, s.FaultSeed == 0},
-		{"retry", func() { o.retry = s.Retry }, s.Retry == 0},
-		{"deadline", func() { o.deadline = s.Deadline }, s.Deadline == ""},
-		{"arrival", func() { o.arrival = s.Arrival }, s.Arrival == ""},
-		{"rate", func() { o.rate = s.Rate }, s.Rate == 0},
-		{"requests", func() { o.requests = s.Requests }, s.Requests == 0},
-		{"seed", func() { o.seed = s.Seed }, s.Seed == 0},
-		{"slo", func() { o.slo = s.SLO }, s.SLO == ""},
-		{"hosts", func() { o.hosts = s.Hosts }, s.Hosts == 0},
-		{"router", func() { o.router = s.Router }, s.Router == ""},
-		{"host-admit", func() { o.hostAdmit = s.HostAdmit }, s.HostAdmit == 0},
-		{"net-core", func() { o.netCore = s.NetCore }, s.NetCore == 0},
-		{"net-nic", func() { o.netNIC = s.NetNIC }, s.NetNIC == 0},
-		{"net-lat", func() { o.netLat = s.NetLat }, s.NetLat == ""},
-		{"shards", func() { o.shards = s.Shards }, s.Shards == 0},
-	} {
-		if m.skip || explicit[m.flag] {
-			continue
-		}
-		m.apply()
-	}
-	return o, nil
+// output holds the options that shape what is printed, not what is
+// simulated, and the -spec path.
+type output struct {
+	verbose, trace, stats bool
+	traceOut, spec        string
 }
 
-func run(o options, out io.Writer) error {
-	p, ok := placements[strings.ToLower(o.placement)]
-	if !ok {
-		return fmt.Errorf("unknown placement %q (want one of allcpu, multiaxl, integrated, standalone, pcie, bump)", o.placement)
+// bind returns a flag set whose run flags each write one field of s.
+// Every flag's default is the field's current value, so binding a Spec
+// that already holds a document keeps the document's values.
+func bind(s *dmx.Spec, o *output) *flag.FlagSet {
+	fs := flag.NewFlagSet("dmxsim", flag.ContinueOnError)
+	fs.Var(apps{&s.Apps}, "app", "benchmark name or 'all' (video-surveillance, sound-detection, brain-stimulation, personal-info-redaction, database-hash-join, pir-ner, genai-rag; default all)")
+	fs.Var(atLeast1{&s.Copies}, "apps", "concurrent application instances (default 1)")
+	fs.StringVar(&s.Placement, "placement", s.Placement, "allcpu | multiaxl | integrated | standalone | pcie | bump (default bump)")
+	fs.Var(atLeast1{&s.Gen}, "gen", "PCIe generation: 3, 4, 5 (default 3)")
+	fs.Var(atLeast1{&s.Lanes}, "lanes", "DRX RE lanes, a power of two (default 128)")
+	fs.BoolVar(&o.verbose, "v", false, "print per-app breakdowns")
+	fs.BoolVar(&o.trace, "trace", false, "print the Fig. 10 event trace")
+	fs.BoolVar(&o.stats, "stats", false, "print device utilization and per-stage latency histograms")
+	fs.StringVar(&o.traceOut, "trace-out", "", "write a Perfetto-loadable trace (Chrome trace-event JSON) to this file")
+	fs.StringVar(&o.spec, "spec", "", "load a JSON experiment Spec (dmx.Spec); flags given on the command line override its fields")
+	fs.StringVar(&s.Arrival, "arrival", s.Arrival, "load-generation arrival process: closed | open | poisson (empty = one request per app)")
+	fs.Float64Var(&s.Rate, "rate", s.Rate, "offered request rate per app in req/s (open and poisson arrivals)")
+	fs.IntVar(&s.Requests, "requests", s.Requests, "requests per app in load-generation mode")
+	fs.Uint64Var(&s.Seed, "seed", s.Seed, "PRNG seed for poisson arrivals")
+	fs.StringVar(&s.Discipline, "discipline", s.Discipline, "service discipline at contended stations: fifo | priority | wfq | edf | srs (default fifo)")
+	fs.StringVar(&s.BatchWindow, "batch-window", s.BatchWindow, "continuous-batching window, e.g. '200us' (empty = batching off)")
+	fs.IntVar(&s.BatchMax, "batch-max", s.BatchMax, "max requests per batch; reaching it flushes the window early (0 = uncapped)")
+	fs.IntVar(&s.Admit, "admit", s.Admit, "per-app admission limit on outstanding requests in load mode (0 = unlimited)")
+	fs.StringVar(&s.SLO, "slo", s.SLO, "per-request latency budget, e.g. '30ms' (deadline-miss accounting; the deadline EDF schedules by)")
+	fs.StringVar(&s.Faults, "faults", s.Faults, "fault-injection spec, e.g. 'drx=5ms/200us,transient=0.01,link=20ms/1ms/0.25,stall=10ms/500us'")
+	fs.Uint64Var(&s.FaultSeed, "fault-seed", s.FaultSeed, "override the fault plan's PRNG seed (0 keeps the spec's seed)")
+	fs.IntVar(&s.Retry, "retry", s.Retry, "max attempts per stage under faults (0 = default policy of 3 when -faults is set)")
+	fs.StringVar(&s.Deadline, "deadline", s.Deadline, "per-stage watchdog deadline, e.g. '500us' (empty = no watchdog)")
+	fs.Var(atLeast1{&s.Hosts}, "hosts", "fleet size: replicate the whole configuration onto N hosts behind the cluster router (needs -arrival; default 1)")
+	fs.StringVar(&s.Router, "router", s.Router, "cluster routing policy: score (placement-aware headroom) | rr | least (default score)")
+	fs.IntVar(&s.HostAdmit, "host-admit", s.HostAdmit, "cluster-level cap on outstanding requests per host (0 = unlimited)")
+	fs.StringVar(&s.Drain, "drain", s.Drain, "fault-aware draining as 'N/window', e.g. '3/2ms': drain a host with ≥N incidents inside the trailing window ('3' alone = unbounded window)")
+	fs.Float64Var(&s.NetCore, "net-core", s.NetCore, "shared core network bandwidth in bytes/s per direction (0 = unmodeled)")
+	fs.Float64Var(&s.NetNIC, "net-nic", s.NetNIC, "per-host NIC bandwidth in bytes/s per direction (0 = unmodeled)")
+	fs.StringVar(&s.NetLat, "net-lat", s.NetLat, "one-way network propagation latency, e.g. '2us' (empty = none)")
+	fs.IntVar(&s.Shards, "shards", s.Shards, "event lanes for conservative-parallel fleet execution (needs -net-lat; 0 or 1 = sequential; output is byte-identical at any value)")
+	return fs
+}
+
+// apps is -app: one benchmark name, or "all" for the full suite. String
+// renders the selection for the report header; no apps is the suite.
+type apps struct{ names *[]string }
+
+func (a apps) String() string {
+	if a.names == nil || len(*a.names) == 0 {
+		return "all"
 	}
-	if err := checkClusterFlags(o); err != nil {
+	return strings.Join(*a.names, ",")
+}
+
+func (a apps) Set(v string) error {
+	*a.names = []string{v}
+	return nil
+}
+
+// atLeast1 is a count flag that must be at least 1. The Spec reads 0 as
+// "default" for -apps, -gen, -lanes, and -hosts, so an explicit 0 on
+// the command line is an error rather than a silent default.
+type atLeast1 struct{ n *int }
+
+func (a atLeast1) String() string {
+	if a.n == nil {
+		return "0"
+	}
+	return strconv.Itoa(*a.n)
+}
+
+func (a atLeast1) Set(v string) error {
+	n, err := strconv.ParseInt(v, 0, strconv.IntSize)
+	if err != nil {
 		return err
 	}
-	cfg := dmxsys.DefaultConfig(p)
-	switch o.gen {
-	case 3:
-		cfg.Gen = pcie.Gen3
-	case 4:
-		cfg.Gen = pcie.Gen4
-	case 5:
-		cfg.Gen = pcie.Gen5
-	default:
-		return fmt.Errorf("unsupported PCIe generation %d", o.gen)
+	if n < 1 {
+		return errors.New("must be at least 1")
 	}
-	cfg.DRX = cfg.DRX.WithLanes(o.lanes)
-	if o.discipline != "" {
-		sched, err := dmxsys.ParseSched(o.discipline)
-		if err != nil {
-			return err
+	*a.n = int(n)
+	return nil
+}
+
+// withCLIDefaults fills the three fields whose dmxsim default differs
+// from the Spec zero value; a document that leaves them zero keeps them.
+func withCLIDefaults(s dmx.Spec) dmx.Spec {
+	if s.Rate == 0 {
+		s.Rate = 1000
+	}
+	if s.Requests == 0 {
+		s.Requests = 16
+	}
+	if s.Seed == 0 {
+		s.Seed = 1
+	}
+	return s
+}
+
+// parse builds the run's Spec: the CLI defaults, then the -spec
+// document, then every flag given on the command line. The first pass
+// only finds -spec; the second binds the flags over the loaded document.
+func parse(args []string) (dmx.Spec, output, error) {
+	var o output
+	probe := withCLIDefaults(dmx.Spec{})
+	if err := bind(&probe, &o).Parse(args); err != nil {
+		return dmx.Spec{}, o, err
+	}
+	var s dmx.Spec
+	if o.spec != "" {
+		doc, err := os.ReadFile(o.spec)
+		if err == nil {
+			s, err = dmx.UnmarshalSpec(doc)
 		}
-		cfg.Sched = sched
+		if err != nil {
+			return dmx.Spec{}, o, fmt.Errorf("-spec: %w", err)
+		}
 	}
-	if err := applyFaults(o, &cfg); err != nil {
+	s = withCLIDefaults(s)
+	return s, o, bind(&s, &o).Parse(args)
+}
+
+// run resolves the command line's Spec and runs it: a fleet when it
+// has more than one host, a load run when it sets an arrival process,
+// and the one-request-per-app run otherwise.
+func run(args []string, out io.Writer) error {
+	s, o, err := parse(args)
+	if err != nil {
 		return err
 	}
-	if o.batchWindow != "" {
-		w, err := faults.ParseDuration(o.batchWindow)
-		if err != nil {
-			return fmt.Errorf("-batch-window: %w", err)
-		}
-		cfg.BatchWindow = w
+	fc, ts, pipes, err := s.Resolve()
+	if err != nil {
+		return err
 	}
-	cfg.BatchMax = o.batchMax
-	cfg.AdmitLimit = o.admit
-	if len(o.fuse) > 0 {
-		cfg.FuseHops = append([]dmxsys.FusePair(nil), o.fuse...)
-	}
+	cfg := &fc.Base
 	if o.trace {
+		if fc.Hosts > 1 {
+			return fmt.Errorf("-trace is single-host only; use -trace-out or -stats on a fleet")
+		}
 		cfg.Trace = func(at sim.Time, app, event string) {
 			fmt.Fprintf(out, "  [%12v] %-24s %s\n", at, app, event)
 		}
@@ -339,305 +266,104 @@ func run(o options, out io.Writer) error {
 	if o.traceOut != "" || o.stats {
 		cfg.Obs = obs.New()
 	}
+	fleet := ""
+	if fc.Hosts > 1 {
+		fleet = fmt.Sprintf(" on %d hosts", fc.Hosts)
+	}
+	fmt.Fprintf(out, "simulating %d app instance(s) of %s under %v%s (PCIe %v, %d RE lanes)...\n",
+		len(pipes), apps{&s.Apps}, cfg.Placement, fleet, cfg.Gen, cfg.DRX.Lanes)
 
-	scale := workload.PaperScale
-	if o.scale == "test" {
-		scale = workload.TestScale
-	}
-	benches, err := selectBenchmarks(o.app, scale)
-	if err != nil {
-		return err
-	}
-	pipes := make([]*dmxsys.Pipeline, 0, o.napps*len(benches))
-	for i := 0; i < o.napps; i++ {
-		for _, b := range benches {
-			pipes = append(pipes, b.Pipeline)
-		}
-	}
-	if cfg.Sched == dmxsys.SchedPriority {
-		// Default priority order: app index (earlier instances first).
-		cfg.AppPriority = make([]int, len(pipes))
-		for i := range cfg.AppPriority {
-			cfg.AppPriority[i] = i
-		}
-	}
-	if o.hosts > 1 {
-		if o.arrival == "" {
-			return fmt.Errorf("-hosts %d needs a load run: set -arrival (closed | open | poisson)", o.hosts)
-		}
-		if o.trace {
-			return fmt.Errorf("-trace is single-host only; use -trace-out or -stats on a fleet")
-		}
-		fmt.Fprintf(out, "simulating %d app instance(s) of %s under %v on %d hosts (PCIe %v, %d RE lanes)...\n",
-			len(pipes), o.app, p, o.hosts, cfg.Gen, o.lanes)
-		return runCluster(o, cfg, pipes, out)
-	}
-	fmt.Fprintf(out, "simulating %d app instance(s) of %s under %v (PCIe %v, %d RE lanes)...\n",
-		len(pipes), o.app, p, cfg.Gen, o.lanes)
-	sys, err := dmxsys.New(cfg, pipes)
-	if err != nil {
-		return err
-	}
-	if o.arrival != "" {
-		return runLoad(o, cfg, sys, out)
-	}
-	rep, err := sys.Run()
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(out, rep)
-	printFaultCounts(sys, cfg, out)
-	if o.verbose {
-		for _, a := range rep.Apps {
-			thr := a.Throughput(2)
-			fmt.Fprintf(out, "  %-26s total %-12v kernel %-12v restructure %-12v movement %-12v (%.1f req/s)\n",
-				a.App, a.Total, a.KernelTime, a.RestructureTime, a.MovementTime, thr)
-		}
-	}
-	fmt.Fprintf(out, "energy: %.2f J ", rep.EnergyJ)
-	keys := make([]string, 0, len(rep.EnergyBreakdown))
-	for k := range rep.EnergyBreakdown {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(out, "%s=%.2f ", k, rep.EnergyBreakdown[k])
-	}
-	fmt.Fprintln(out)
-	if o.stats {
-		fmt.Fprintln(out, rep.Metrics)
-	}
-	return writeTraceFile(o, cfg, out)
-}
-
-// checkClusterFlags rejects a fleet of fewer than one host, and
-// cluster-only flags on a single-host run. Silently ignoring -net-* (or
-// -shards, -host-admit, -drain) would print a report for physics the
-// user didn't ask about — a one-host "fleet" has no inter-host network
-// to model.
-func checkClusterFlags(o options) error {
-	if o.hosts < 1 {
-		return fmt.Errorf("-hosts %d: a run needs at least 1 host", o.hosts)
-	}
-	if o.hosts > 1 {
-		return nil
-	}
-	var bad []string
-	if o.netCore != 0 {
-		bad = append(bad, "-net-core")
-	}
-	if o.netNIC != 0 {
-		bad = append(bad, "-net-nic")
-	}
-	if o.netLat != "" {
-		bad = append(bad, "-net-lat")
-	}
-	if o.shards > 1 || o.shards < 0 {
-		bad = append(bad, "-shards")
-	}
-	if o.hostAdmit != 0 {
-		bad = append(bad, "-host-admit")
-	}
-	if o.drain != "" {
-		bad = append(bad, "-drain")
-	}
-	if len(bad) == 0 {
-		return nil
-	}
-	return fmt.Errorf("%s: cluster-only flag(s) need -hosts > 1 (got -hosts %d)",
-		strings.Join(bad, ", "), o.hosts)
-}
-
-// applyFaults wires the -faults/-fault-seed/-retry/-deadline flags into
-// the config. Injection implies the default retry policy — faulted runs
-// recover (retry, then degrade to CPU restructuring) rather than fail —
-// and -retry / -deadline tune it.
-func applyFaults(o options, cfg *dmxsys.Config) error {
-	if o.faults != "" {
-		plan, err := faults.ParseSpec(o.faults)
+	var makespan sim.Duration
+	switch {
+	case fc.Hosts > 1:
+		f, err := cluster.New(fc, pipes)
 		if err != nil {
 			return err
 		}
-		if o.faultSeed != 0 {
-			plan.Seed = o.faultSeed
-		}
-		cfg.Faults = plan
-	}
-	if o.faults == "" && o.retry == 0 && o.deadline == "" {
-		return nil
-	}
-	r := faults.DefaultRetry()
-	if o.retry > 0 {
-		r.MaxAttempts = o.retry
-	}
-	if o.deadline != "" {
-		d, err := faults.ParseDuration(o.deadline)
+		rep, err := f.Run(ts)
 		if err != nil {
 			return err
 		}
-		r.StageDeadline = d
-	}
-	cfg.Retry = r
-	return nil
-}
-
-// printFaultCounts summarizes the incidents the run actually observed.
-func printFaultCounts(sys *dmxsys.System, cfg dmxsys.Config, out io.Writer) {
-	if cfg.Faults == nil {
-		return
-	}
-	c := sys.FaultCounts()
-	fmt.Fprintf(out, "faults observed: %d DRX outages, %d link incidents, %d stalls, %d transients\n",
-		c.DRXOutages, c.LinkIncidents, c.Stalls, c.Transients)
-}
-
-// loadSpec assembles the traffic spec the load and cluster modes share.
-func loadSpec(o options) (traffic.Spec, error) {
-	arr, err := traffic.ParseArrival(o.arrival)
-	if err != nil {
-		return traffic.Spec{}, err
-	}
-	spec := traffic.Spec{Arrival: arr, Rate: o.rate, Requests: o.requests, Seed: o.seed}
-	if o.slo != "" {
-		d, err := faults.ParseDuration(o.slo)
-		if err != nil {
-			return traffic.Spec{}, fmt.Errorf("-slo: %w", err)
-		}
-		spec.Deadline = d
-	}
-	return spec, nil
-}
-
-// runCluster replicates cfg onto -hosts hosts and drives the fleet
-// through the cluster router.
-func runCluster(o options, cfg dmxsys.Config, pipes []*dmxsys.Pipeline, out io.Writer) error {
-	spec, err := loadSpec(o)
-	if err != nil {
-		return err
-	}
-	pol, err := cluster.ParsePolicy(o.router)
-	if err != nil {
-		return err
-	}
-	rc := cluster.RouterConfig{Policy: pol, HostAdmit: o.hostAdmit}
-	if o.drain != "" {
-		inc, window, ok := strings.Cut(o.drain, "/")
-		if _, err := fmt.Sscanf(inc, "%d", &rc.DrainIncidents); err != nil || rc.DrainIncidents < 1 {
-			return fmt.Errorf("-drain: want 'N/window' or 'N' (got %q)", o.drain)
-		}
-		if ok {
-			d, err := faults.ParseDuration(window)
-			if err != nil {
-				return fmt.Errorf("-drain window: %w", err)
+		fmt.Fprintln(out, rep)
+		fmt.Fprintf(out, "router: policy=%v", fc.Router.Policy)
+		for h, perApp := range f.Routed() {
+			n := 0
+			for _, c := range perApp {
+				n += c
 			}
-			rc.DrainWindow = d
+			fmt.Fprintf(out, " h%d=%d", h, n)
 		}
-	}
-	nc := cluster.NetConfig{NICBytesPerSec: o.netNIC, CoreBytesPerSec: o.netCore}
-	if o.netLat != "" {
-		d, err := faults.ParseDuration(o.netLat)
+		fmt.Fprintln(out)
+		printFaults(out, cfg, f.FaultCounts)
+		makespan = rep.Makespan
+	case s.Arrival != "":
+		sys, err := dmxsys.New(*cfg, pipes)
 		if err != nil {
-			return fmt.Errorf("-net-lat: %w", err)
+			return err
 		}
-		nc.Latency = d
-	}
-	f, err := cluster.New(cluster.FleetConfig{Hosts: o.hosts, Base: cfg, Net: nc, Router: rc,
-		Shards: o.shards}, pipes)
-	if err != nil {
-		return err
-	}
-	rep, err := f.Run(spec)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(out, rep)
-	fmt.Fprintf(out, "router: policy=%v", pol)
-	for h, perApp := range f.Routed() {
-		n := 0
-		for _, c := range perApp {
-			n += c
+		rep, err := sys.RunLoad(ts)
+		if err != nil {
+			return err
 		}
-		fmt.Fprintf(out, " h%d=%d", h, n)
+		fmt.Fprintln(out, rep)
+		printFaults(out, cfg, sys.FaultCounts)
+		makespan = rep.Makespan
+	default:
+		sys, err := dmxsys.New(*cfg, pipes)
+		if err != nil {
+			return err
+		}
+		rep, err := sys.Run()
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(out, rep)
+		printFaults(out, cfg, sys.FaultCounts)
+		if o.verbose {
+			for _, a := range rep.Apps {
+				fmt.Fprintf(out, "  %-26s total %-12v kernel %-12v restructure %-12v movement %-12v (%.1f req/s)\n",
+					a.App, a.Total, a.KernelTime, a.RestructureTime, a.MovementTime, a.Throughput(2))
+			}
+		}
+		fmt.Fprintf(out, "energy: %.2f J ", rep.EnergyJ)
+		keys := make([]string, 0, len(rep.EnergyBreakdown))
+		for k := range rep.EnergyBreakdown {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			fmt.Fprintf(out, "%s=%.2f ", k, rep.EnergyBreakdown[k])
+		}
+		fmt.Fprintln(out)
+		makespan = rep.Makespan
 	}
-	fmt.Fprintln(out)
-	if cfg.Faults != nil {
-		c := f.FaultCounts()
-		fmt.Fprintf(out, "faults observed: %d DRX outages, %d link incidents, %d stalls, %d transients\n",
-			c.DRXOutages, c.LinkIncidents, c.Stalls, c.Transients)
+	if o.stats {
+		fmt.Fprintln(out, obs.Aggregate(cfg.Obs.Events(), obs.Duration(makespan)))
 	}
-	if o.stats && cfg.Obs != nil {
-		fmt.Fprintln(out, obs.Aggregate(cfg.Obs.Events(), obs.Duration(rep.Makespan)))
-	}
-	return writeTraceFile(o, cfg, out)
-}
-
-// runLoad drives the assembled system in load-generation mode.
-func runLoad(o options, cfg dmxsys.Config, sys *dmxsys.System, out io.Writer) error {
-	spec, err := loadSpec(o)
-	if err != nil {
-		return err
-	}
-	rep, err := sys.RunLoad(spec)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(out, rep)
-	printFaultCounts(sys, cfg, out)
-	if o.stats && cfg.Obs != nil {
-		fmt.Fprintln(out, obs.Aggregate(cfg.Obs.Events(), obs.Duration(rep.Makespan)))
-	}
-	return writeTraceFile(o, cfg, out)
-}
-
-// writeTraceFile dumps the recorded event stream as Perfetto JSON when
-// -trace-out was given.
-func writeTraceFile(o options, cfg dmxsys.Config, out io.Writer) error {
 	if o.traceOut == "" {
 		return nil
 	}
-	rec := cfg.Obs
 	f, err := os.Create(o.traceOut)
 	if err != nil {
 		return err
 	}
-	werr := obs.WriteTrace(f, rec.Events())
+	werr := obs.WriteTrace(f, cfg.Obs.Events())
 	if cerr := f.Close(); werr == nil {
 		werr = cerr
 	}
 	if werr != nil {
 		return fmt.Errorf("writing trace: %w", werr)
 	}
-	fmt.Fprintf(out, "trace: %d events written to %s (open at ui.perfetto.dev)\n",
-		rec.Len(), o.traceOut)
+	fmt.Fprintf(out, "trace: %d events written to %s (open at ui.perfetto.dev)\n", cfg.Obs.Len(), o.traceOut)
 	return nil
 }
 
-func selectBenchmarks(name string, sc workload.Scale) ([]*workload.Benchmark, error) {
-	if name == "all" {
-		return workload.Suite(sc)
+// printFaults summarizes the incidents a faulted run actually observed.
+func printFaults(out io.Writer, cfg *dmxsys.Config, counts func() faults.Counts) {
+	if cfg.Faults == nil {
+		return
 	}
-	if name == "pir-ner" {
-		b, err := workload.PIRWithNER(sc)
-		if err != nil {
-			return nil, err
-		}
-		return []*workload.Benchmark{b}, nil
-	}
-	if name == "genai-rag" {
-		b, err := workload.GenAIRAG(sc)
-		if err != nil {
-			return nil, err
-		}
-		return []*workload.Benchmark{b}, nil
-	}
-	suite, err := workload.Suite(sc)
-	if err != nil {
-		return nil, err
-	}
-	for _, b := range suite {
-		if b.Name == name {
-			return []*workload.Benchmark{b}, nil
-		}
-	}
-	return nil, fmt.Errorf("unknown benchmark %q", name)
+	c := counts()
+	fmt.Fprintf(out, "faults observed: %d DRX outages, %d link incidents, %d stalls, %d transients\n",
+		c.DRXOutages, c.LinkIncidents, c.Stalls, c.Transients)
 }

@@ -3,29 +3,24 @@ package main
 import (
 	"bytes"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
 	"dmx"
-	"dmx/internal/dmxsys"
 	"dmx/internal/obs"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-func opts() options {
-	return options{
-		app:       "sound-detection",
-		napps:     1,
-		placement: "bump",
-		gen:       3,
-		lanes:     128,
-		hosts:     1,
-		verbose:   true,
-		trace:     true,
-	}
+// opts is the golden command line: one paper-scale sound-detection
+// request with the per-app breakdown and the event trace.
+func opts() []string {
+	return []string{"-app", "sound-detection", "-v", "-trace"}
 }
 
 // The full CLI output — event trace, report, per-app breakdown, energy
@@ -68,44 +63,39 @@ func TestRunOutputIsDeterministic(t *testing.T) {
 	}
 }
 
-// Cluster-only flags on a single-host run, and host counts below one,
-// must error out rather than silently shape (or not shape) the report.
+// Cluster-only flags on a single-host run, and host or app counts below
+// one, must error out before printing anything rather than silently
+// shape (or not shape) the report — and never panic.
 func TestClusterOnlyFlagsRejected(t *testing.T) {
 	cases := []struct {
 		name    string
-		mutate  func(*options)
+		args    []string
 		wantErr bool
 	}{
-		{"net-lat-single-host", func(o *options) { o.netLat = "2us" }, true},
-		{"net-core-single-host", func(o *options) { o.netCore = 50e9 }, true},
-		{"net-nic-single-host", func(o *options) { o.netNIC = 12.5e9 }, true},
-		{"shards-single-host", func(o *options) { o.shards = 4 }, true},
-		{"negative-shards-single-host", func(o *options) { o.shards = -1 }, true},
-		{"host-admit-single-host", func(o *options) { o.hostAdmit = 8 }, true},
-		{"drain-single-host", func(o *options) { o.drain = "3/2ms" }, true},
-		{"zero-hosts", func(o *options) { o.hosts = 0 }, true},
-		{"negative-hosts", func(o *options) { o.hosts = -3 }, true},
-		{"shards-default-ok", func(o *options) { o.shards = 1 }, false},
-		{"net-multi-host-ok", func(o *options) {
-			o.hosts = 2
-			o.arrival = "poisson"
-			o.router = "score"
-			o.rate = 2000
-			o.requests = 4
-			o.netLat = "2us"
-			o.shards = 3
-			o.trace = false
-			o.verbose = false
-		}, false},
+		{"net-lat-single-host", []string{"-net-lat", "2us"}, true},
+		{"net-core-single-host", []string{"-net-core", "50e9"}, true},
+		{"net-nic-single-host", []string{"-net-nic", "12.5e9"}, true},
+		{"shards-single-host", []string{"-shards", "4"}, true},
+		{"negative-shards-single-host", []string{"-shards", "-1"}, true},
+		{"host-admit-single-host", []string{"-host-admit", "8"}, true},
+		{"drain-single-host", []string{"-drain", "3/2ms"}, true},
+		{"zero-hosts", []string{"-hosts", "0"}, true},
+		{"negative-hosts", []string{"-hosts", "-3"}, true},
+		{"zero-apps", []string{"-apps", "0"}, true},
+		{"negative-apps", []string{"-apps", "-1"}, true},
+		{"shards-default-ok", []string{"-shards", "1"}, false},
+		{"net-multi-host-ok", []string{"-hosts", "2", "-arrival", "poisson", "-router", "score",
+			"-rate", "2000", "-requests", "4", "-net-lat", "2us", "-shards", "3"}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			o := opts()
-			tc.mutate(&o)
 			var buf bytes.Buffer
-			err := run(o, &buf)
+			err := run(append([]string{"-app", "sound-detection"}, tc.args...), &buf)
 			if tc.wantErr && err == nil {
 				t.Error("flag combination accepted; want an error")
+			}
+			if tc.wantErr && buf.Len() > 0 {
+				t.Errorf("rejected command line printed output first:\n%s", buf.String())
 			}
 			if !tc.wantErr && err != nil {
 				t.Errorf("valid flag combination rejected: %v", err)
@@ -118,20 +108,10 @@ func TestClusterOnlyFlagsRejected(t *testing.T) {
 // the flag buys wall-clock, never different physics.
 func TestClusterShardsOutputIdentical(t *testing.T) {
 	fleet := func(shards int) string {
-		o := opts()
-		o.trace = false
-		o.verbose = false
-		o.hosts = 4
-		o.arrival = "poisson"
-		o.router = "score"
-		o.rate = 8000
-		o.requests = 32
-		o.seed = 9
-		o.netNIC = 12.5e9
-		o.netLat = "2us"
-		o.shards = shards
 		var buf bytes.Buffer
-		if err := run(o, &buf); err != nil {
+		if err := run([]string{"-app", "sound-detection", "-hosts", "4", "-arrival", "poisson",
+			"-router", "score", "-rate", "8000", "-requests", "32", "-seed", "9",
+			"-net-nic", "12.5e9", "-net-lat", "2us", "-shards", strconv.Itoa(shards)}, &buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()
@@ -149,16 +129,11 @@ func TestClusterShardsOutputIdentical(t *testing.T) {
 func TestTraceOutValidatesAndIsStable(t *testing.T) {
 	dir := t.TempDir()
 	capture := func(name string) []byte {
-		o := opts()
-		o.trace = false
-		o.verbose = false
-		o.stats = true
-		o.traceOut = filepath.Join(dir, name)
-		var buf bytes.Buffer
-		if err := run(o, &buf); err != nil {
+		path := filepath.Join(dir, name)
+		if err := run([]string{"-app", "sound-detection", "-stats", "-trace-out", path}, io.Discard); err != nil {
 			t.Fatal(err)
 		}
-		data, err := os.ReadFile(o.traceOut)
+		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,9 +148,24 @@ func TestTraceOutValidatesAndIsStable(t *testing.T) {
 	}
 }
 
-// applySpec must treat the document as the new base: fields it sets
-// override flag defaults, while explicitly given flags still win, and
-// incoherent documents fail with a message naming the problem.
+// writeSpec saves a Spec document for -spec and returns its path.
+func writeSpec(t *testing.T, s dmx.Spec) string {
+	t.Helper()
+	doc, err := dmx.MarshalSpec(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "spec.json")
+	if err := os.WriteFile(path, doc, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// The command line builds a Spec: the -spec document is the base, a flag
+// given explicitly overwrites just its field, the CLI defaults survive a
+// sparse document, and incoherent documents fail in Resolve with a
+// message naming the problem.
 func TestApplySpecMerge(t *testing.T) {
 	spec := dmx.Spec{
 		Apps: []string{"personal-info-redaction"}, Scale: "test", Copies: 3,
@@ -183,78 +173,77 @@ func TestApplySpecMerge(t *testing.T) {
 		BatchWindow: "200us", BatchMax: 8, Admit: 32,
 		Faults: "transient=0.01", FaultSeed: 9, Retry: 2, Deadline: "500us",
 		Arrival: "poisson", Rate: 2500, Requests: 48, Seed: 7, SLO: "30ms",
-		Hosts: 2, Router: "least", HostAdmit: 16, NetNIC: 12.5e9, NetLat: "2us", Shards: 3,
+		Hosts: 2, Router: "least", HostAdmit: 16, Drain: "3/2ms", NetNIC: 12.5e9, NetLat: "2us", Shards: 3,
 	}
 	cases := []struct {
-		name     string
-		spec     dmx.Spec
-		explicit map[string]bool
-		check    func(t *testing.T, o options)
-		wantErr  string
+		name    string
+		spec    dmx.Spec
+		flags   []string
+		check   func(t *testing.T, s dmx.Spec, args []string)
+		wantErr string
 	}{
-		{"spec fields become base", spec, nil, func(t *testing.T, o options) {
-			if o.app != "personal-info-redaction" || o.scale != "test" || o.napps != 3 {
-				t.Errorf("workload: app=%q scale=%q napps=%d", o.app, o.scale, o.napps)
-			}
-			if o.placement != "integrated" || o.gen != 4 || o.lanes != 64 || o.discipline != "srs" {
-				t.Errorf("host: %q gen=%d lanes=%d disc=%q", o.placement, o.gen, o.lanes, o.discipline)
-			}
-			if o.batchWindow != "200us" || o.batchMax != 8 || o.admit != 32 {
-				t.Errorf("serving: window=%q max=%d admit=%d", o.batchWindow, o.batchMax, o.admit)
-			}
-			if o.faults != "transient=0.01" || o.faultSeed != 9 || o.retry != 2 || o.deadline != "500us" {
-				t.Errorf("faults: %q seed=%d retry=%d deadline=%q", o.faults, o.faultSeed, o.retry, o.deadline)
-			}
-			if o.arrival != "poisson" || o.rate != 2500 || o.requests != 48 || o.seed != 7 || o.slo != "30ms" {
-				t.Errorf("traffic: %q rate=%v req=%d seed=%d slo=%q", o.arrival, o.rate, o.requests, o.seed, o.slo)
-			}
-			if o.hosts != 2 || o.router != "least" || o.hostAdmit != 16 || o.netNIC != 12.5e9 || o.netLat != "2us" || o.shards != 3 {
-				t.Errorf("cluster: hosts=%d router=%q hostAdmit=%d nic=%v lat=%q shards=%d",
-					o.hosts, o.router, o.hostAdmit, o.netNIC, o.netLat, o.shards)
+		{"spec fields become base", spec, nil, func(t *testing.T, s dmx.Spec, _ []string) {
+			if !reflect.DeepEqual(s, spec) {
+				t.Errorf("built spec differs from the document:\n got %+v\nwant %+v", s, spec)
 			}
 		}, ""},
-		{"explicit flags win", spec, map[string]bool{"placement": true, "rate": true, "requests": true},
-			func(t *testing.T, o options) {
-				if o.placement != "bump" || o.rate != 1000 || o.requests != 16 {
+		{"explicit flags win", spec, []string{"-placement", "bump", "-rate", "1000", "-requests", "16"},
+			func(t *testing.T, s dmx.Spec, _ []string) {
+				if s.Placement != "bump" || s.Rate != 1000 || s.Requests != 16 {
 					t.Errorf("explicit flags overridden by spec: placement=%q rate=%v requests=%d",
-						o.placement, o.rate, o.requests)
+						s.Placement, s.Rate, s.Requests)
 				}
-				if o.discipline != "srs" {
-					t.Errorf("non-explicit field not taken from spec: discipline=%q", o.discipline)
+				if s.Discipline != "srs" {
+					t.Errorf("non-explicit field not taken from spec: discipline=%q", s.Discipline)
 				}
 			}, ""},
-		{"sparse spec keeps defaults", dmx.Spec{Arrival: "open"}, nil, func(t *testing.T, o options) {
-			if o.arrival != "open" {
-				t.Errorf("arrival = %q", o.arrival)
+		{"sparse spec keeps defaults", dmx.Spec{Arrival: "open"}, nil, func(t *testing.T, s dmx.Spec, _ []string) {
+			if s.Arrival != "open" {
+				t.Errorf("arrival = %q", s.Arrival)
 			}
-			if o.rate != 1000 || o.requests != 16 || o.placement != "bump" {
-				t.Errorf("defaults lost: rate=%v requests=%d placement=%q", o.rate, o.requests, o.placement)
+			if s.Rate != 1000 || s.Requests != 16 || s.Seed != 1 || s.Placement != "" || s.Hosts != 0 {
+				t.Errorf("defaults lost: rate=%v requests=%d seed=%d placement=%q hosts=%d",
+					s.Rate, s.Requests, s.Seed, s.Placement, s.Hosts)
 			}
 		}, ""},
 		{"fuse hops carried", dmx.Spec{Arrival: "poisson", FuseHops: []dmx.FusePair{{App: 0, Hop: 0}}}, nil,
-			func(t *testing.T, o options) {
-				if len(o.fuse) != 1 || o.fuse[0] != (dmxsys.FusePair{App: 0, Hop: 0}) {
-					t.Errorf("fuse = %v", o.fuse)
+			func(t *testing.T, s dmx.Spec, _ []string) {
+				if len(s.FuseHops) != 1 || s.FuseHops[0] != (dmx.FusePair{App: 0, Hop: 0}) {
+					t.Errorf("fuse = %v", s.FuseHops)
 				}
 			}, ""},
-		{"multi-app rejected", dmx.Spec{Apps: []string{"a", "b"}, Arrival: "poisson"}, nil, nil, "one benchmark"},
+		{"multi-app runs", dmx.Spec{Apps: []string{"personal-info-redaction", "sound-detection"}, Scale: "test",
+			Arrival: "poisson", Rate: 2000, Requests: 4}, nil, func(t *testing.T, _ dmx.Spec, args []string) {
+			var buf bytes.Buffer
+			if err := run(args, &buf); err != nil {
+				t.Fatal(err)
+			}
+			out := buf.String()
+			if !strings.Contains(out, "2 app instance(s) of personal-info-redaction,sound-detection ") {
+				t.Errorf("header does not name both apps:\n%s", out)
+			}
+			for _, app := range []string{"personal-info-redaction", "sound-detection"} {
+				if !strings.Contains(out, "  "+app+" ") || !strings.Contains(out, " 4/4 done") {
+					t.Errorf("report lacks a completed %s row:\n%s", app, out)
+				}
+			}
+		}, ""},
 		{"bad scale rejected", dmx.Spec{Scale: "huge", Arrival: "poisson"}, nil, nil, "scale"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			base := options{app: "all", napps: 1, placement: "bump", gen: 3, lanes: 128,
-				rate: 1000, requests: 16, seed: 1, discipline: "fifo", router: "score", hosts: 1, shards: 1}
-			o, err := applySpec(tc.spec, base, tc.explicit)
+			args := append([]string{"-spec", writeSpec(t, tc.spec)}, tc.flags...)
 			if tc.wantErr != "" {
-				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				if err := run(args, io.Discard); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 					t.Fatalf("error %v, want mention of %q", err, tc.wantErr)
 				}
 				return
 			}
+			s, _, err := parse(args)
 			if err != nil {
 				t.Fatal(err)
 			}
-			tc.check(t, o)
+			tc.check(t, s, args)
 		})
 	}
 }
@@ -262,17 +251,13 @@ func TestApplySpecMerge(t *testing.T) {
 // A fused spec must drive the whole CLI path: the fuse pairs land in
 // the config and the run completes.
 func TestRunWithFusedSpec(t *testing.T) {
-	o, err := applySpec(dmx.Spec{
+	path := writeSpec(t, dmx.Spec{
 		Apps: []string{"pir-ner"}, Scale: "test", Placement: "integrated",
 		Arrival: "poisson", Rate: 2000, Requests: 8, Seed: 3,
 		FuseHops: []dmx.FusePair{{App: 0, Hop: 0}},
-	}, options{app: "all", napps: 1, placement: "bump", gen: 3, lanes: 128,
-		rate: 1000, requests: 16, seed: 1, hosts: 1, shards: 1}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
 	var buf bytes.Buffer
-	if err := run(o, &buf); err != nil {
+	if err := run([]string{"-spec", path}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "pir-ner") {
@@ -280,8 +265,7 @@ func TestRunWithFusedSpec(t *testing.T) {
 	}
 	// The same spec with an illegal placement for fusion must surface
 	// the validation error.
-	o.placement = "bump"
-	if err := run(o, &buf); err == nil || !strings.Contains(err.Error(), "shared DRX") {
+	if err := run([]string{"-spec", path, "-placement", "bump"}, &buf); err == nil || !strings.Contains(err.Error(), "shared DRX") {
 		t.Errorf("fusion on bump: %v", err)
 	}
 }

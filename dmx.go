@@ -117,9 +117,9 @@ func DefaultConfig(p Placement) Config { return dmxsys.DefaultConfig(p) }
 // DefaultDRX returns the paper's DRX ASIC configuration.
 func DefaultDRX() DRXConfig { return drx.DefaultConfig() }
 
-// Unified execution surface. Run is the single entry point behind which
-// the three historical front-ends (Simulate, SimulateStream,
-// SimulateLoad) are thin wrappers.
+// Unified execution surface. Run is the single entry point; Simulate is
+// its one-request wrapper, and a stream or load run is Run with
+// StreamSpec(n) or LoadSpec(t).
 type (
 	// RunSpec selects and parameterizes the execution mode: a
 	// single-request latency run (the zero value), a closed-loop
@@ -150,11 +150,10 @@ func StreamSpec(n int) RunSpec { return dmxsys.StreamSpec(n) }
 func LoadSpec(spec TrafficSpec) RunSpec { return dmxsys.LoadSpec(spec) }
 
 // Run assembles a fresh system from cfg and the pipelines and executes
-// it under the spec, returning the mode's report. It is the unified
-// entry point: the zero spec reproduces Simulate, StreamSpec(n)
-// reproduces SimulateStream, and LoadSpec(t) reproduces SimulateLoad —
-// bit for bit. The same cfg, spec, and pipelines always produce an
-// identical report.
+// it under the spec, returning the mode's report: a one-request latency
+// run (the zero spec, what Simulate unwraps), a closed-loop stream
+// (StreamSpec(n)), or a traffic-driven load (LoadSpec(t)). The same
+// cfg, spec, and pipelines always produce an identical report.
 func Run(cfg Config, spec RunSpec, pipelines ...*Pipeline) (Report, error) {
 	sys, err := dmxsys.New(cfg, pipelines)
 	if err != nil {
@@ -176,17 +175,6 @@ func Simulate(cfg Config, pipelines ...*Pipeline) (RunReport, error) {
 
 // StreamReport aggregates a streamed (back-to-back request) simulation.
 type StreamReport = dmxsys.StreamReport
-
-// SimulateStream issues a train of back-to-back requests per pipeline
-// and reports measured steady-state throughput (Sec. VII-A's continuous
-// arrival assumption). It is Run with StreamSpec(requests), unwrapped.
-func SimulateStream(cfg Config, requests int, pipelines ...*Pipeline) (StreamReport, error) {
-	rep, err := Run(cfg, StreamSpec(requests), pipelines...)
-	if err != nil {
-		return StreamReport{}, err
-	}
-	return *rep.Stream, nil
-}
 
 // Serving-layer surface: load generation with explicit arrival
 // processes and latency/throughput reporting. Continuous batching
@@ -262,19 +250,6 @@ func ParseFaultPlan(spec string) (*FaultPlan, error) { return faults.ParseSpec(s
 // no stage watchdog unless a deadline is set explicitly.
 func DefaultRetry() RetryPolicy { return faults.DefaultRetry() }
 
-// SimulateLoad drives the pipelines with the spec's arrival process on
-// a freshly assembled system and reports per-app offered vs achieved
-// throughput, latency quantiles, and failure accounting when faults
-// are configured. It is Run with LoadSpec(spec), unwrapped. The same
-// cfg, spec, and pipelines always produce an identical report.
-func SimulateLoad(cfg Config, spec TrafficSpec, pipelines ...*Pipeline) (LoadReport, error) {
-	rep, err := Run(cfg, LoadSpec(spec), pipelines...)
-	if err != nil {
-		return LoadReport{}, err
-	}
-	return *rep.Load, nil
-}
-
 // Cluster-scale serving surface: N replicas of one Config composed
 // into a fleet on a single deterministic engine, joined by a modeled
 // network fabric and fronted by a placement- and fault-aware router.
@@ -310,9 +285,9 @@ func ParseRouterPolicy(s string) (RouterPolicy, error) { return cluster.ParsePol
 // with the spec's arrival process through the cluster router, and rolls
 // the per-replica accounting up into one LoadReport that preserves
 // per-app tail-latency accounting. A one-host fleet with zero-valued
-// network and router configs reproduces SimulateLoad byte for byte; the
-// same cfg, spec, and pipelines always produce an identical report at
-// any sweep worker count.
+// network and router configs reproduces Run with LoadSpec byte for
+// byte; the same cfg, spec, and pipelines always produce an identical
+// report at any sweep worker count.
 func SimulateCluster(cfg FleetConfig, spec TrafficSpec, pipelines ...*Pipeline) (LoadReport, error) {
 	f, err := cluster.New(cfg, pipelines)
 	if err != nil {

@@ -73,12 +73,12 @@ func TestSimulateStreamThroughPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := dmx.SimulateStream(dmx.DefaultConfig(dmx.BumpInTheWire), 4, suite[1].Pipeline)
+	rep, err := dmx.Run(dmx.DefaultConfig(dmx.BumpInTheWire), dmx.StreamSpec(4), suite[1].Pipeline)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.PerApp) != 1 || rep.PerApp[0].Throughput <= 0 {
-		t.Fatalf("bad stream report: %+v", rep)
+	if len(rep.Stream.PerApp) != 1 || rep.Stream.PerApp[0].Throughput <= 0 {
+		t.Fatalf("bad stream report: %+v", rep.Stream)
 	}
 }
 
@@ -103,7 +103,7 @@ func TestSimulateClusterThroughPublicAPI(t *testing.T) {
 	pipe := suite[0].Pipeline
 	cfg := dmx.DefaultConfig(dmx.BumpInTheWire)
 	spec := dmx.TrafficSpec{Arrival: dmx.Poisson, Rate: 3000, Requests: 24, Seed: 2}
-	solo, err := dmx.SimulateLoad(cfg, spec, pipe)
+	solo, err := dmx.Run(cfg, dmx.LoadSpec(spec), pipe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,8 +111,8 @@ func TestSimulateClusterThroughPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if one.String() != solo.String() {
-		t.Errorf("one-host SimulateCluster diverged from SimulateLoad:\n%s\nvs:\n%s", one, solo)
+	if one.String() != solo.Load.String() {
+		t.Errorf("one-host SimulateCluster diverged from the single-host load run:\n%s\nvs:\n%s", one, solo.Load)
 	}
 	fleet, err := dmx.SimulateCluster(dmx.FleetConfig{
 		Hosts:  4,

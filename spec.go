@@ -2,8 +2,11 @@ package dmx
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -30,8 +33,9 @@ type FusePair = dmxsys.FusePair
 // Zero values mean "the default the CLIs use": empty Scale is paper
 // scale, empty Placement is bump-in-the-wire, Gen 0 is PCIe Gen3,
 // Copies 0 is one instance per app, Hosts 0 is a single host, empty
-// Router is score routing. Durations are strings in Go syntax ("200us",
-// "30ms") so documents stay hand-editable.
+// Router is score routing, and empty Arrival is the one-request-per-app
+// run. Durations are strings in Go syntax ("200us", "30ms") so
+// documents stay hand-editable.
 type Spec struct {
 	// Apps selects benchmarks by name (the dmxsim -app names:
 	// sound-detection, video-surveillance, brain-stimulation,
@@ -75,7 +79,8 @@ type Spec struct {
 	Deadline string `json:"deadline,omitempty"`
 
 	// Arrival is the traffic process token (closed, open, poisson).
-	// Required by Resolve: a Spec always describes a load run.
+	// Empty is the one-request-per-app run: Resolve returns a zero
+	// TrafficSpec. A fleet (Hosts > 1), Simulate, and Tune need one.
 	Arrival string `json:"arrival"`
 	// Rate is the offered request rate per app in req/s.
 	Rate float64 `json:"rate,omitempty"`
@@ -92,6 +97,10 @@ type Spec struct {
 	Router string `json:"router,omitempty"`
 	// HostAdmit caps outstanding requests per host (0 = unlimited).
 	HostAdmit int `json:"host_admit,omitempty"`
+	// Drain takes a host out of rotation while its fault incidents
+	// spike, as "N/window": at least N incidents inside the trailing
+	// window ("3/2ms"; "3" alone = unbounded window). Empty = never.
+	Drain string `json:"drain,omitempty"`
 	// NetCore is the shared core network bandwidth in bytes/s.
 	NetCore float64 `json:"net_core,omitempty"`
 	// NetNIC is the per-host NIC bandwidth in bytes/s.
@@ -130,7 +139,8 @@ func UnmarshalSpec(data []byte) (Spec, error) {
 	return s, nil
 }
 
-// specPlacements mirrors the dmxsim -placement tokens.
+// specPlacements maps the placement tokens of Spec.Placement (and the
+// dmxsim -placement flag) to placements.
 var specPlacements = map[string]Placement{
 	"allcpu":     AllCPU,
 	"multiaxl":   MultiAxl,
@@ -162,15 +172,15 @@ func FormatDuration(d Duration) string {
 
 // Resolve validates the spec and expands it into the three values
 // SimulateCluster consumes: the fleet configuration, the traffic spec,
-// and the pipeline list. The expansion is pure — resolving the same
-// spec twice yields configurations that simulate identically — which is
-// what makes a TuneResult.Winner replayable.
+// and the pipeline list. It is the one place a run is validated and
+// wired — dmxsim's flags, dmxbench -spec, and Tune all come through
+// here. The expansion is pure — resolving the same spec twice yields
+// configurations that simulate identically — which is what makes a
+// TuneResult.Winner replayable.
 func (s Spec) Resolve() (FleetConfig, TrafficSpec, []*Pipeline, error) {
 	fail := func(err error) (FleetConfig, TrafficSpec, []*Pipeline, error) {
 		return FleetConfig{}, TrafficSpec{}, nil, err
 	}
-
-	// Workload selection.
 	scale := workload.PaperScale
 	switch s.Scale {
 	case "", "paper":
@@ -179,30 +189,33 @@ func (s Spec) Resolve() (FleetConfig, TrafficSpec, []*Pipeline, error) {
 	default:
 		return fail(fmt.Errorf("dmx: spec scale %q (want \"paper\" or \"test\")", s.Scale))
 	}
-	benches, err := specBenchmarks(s.Apps, scale)
-	if err != nil {
-		return fail(err)
-	}
-	copies := s.Copies
-	if copies == 0 {
-		copies = 1
-	}
-	if copies < 0 {
-		return fail(fmt.Errorf("dmx: spec copies %d is negative", copies))
-	}
-	pipes := make([]*Pipeline, 0, copies*len(benches))
-	for i := 0; i < copies; i++ {
-		for _, b := range benches {
-			pipes = append(pipes, b.Pipeline)
+	for _, c := range []struct {
+		field string
+		n     int
+	}{{"copies", s.Copies}, {"batch_max", s.BatchMax}, {"admit", s.Admit}, {"retry", s.Retry},
+		{"hosts", s.Hosts}, {"host_admit", s.HostAdmit}, {"shards", s.Shards}} {
+		if c.n < 0 {
+			return fail(fmt.Errorf("dmx: spec %s %d is negative", c.field, c.n))
 		}
+	}
+	var window, deadline, slo, netLat Duration
+	for _, d := range []struct {
+		field, v string
+		dst      *Duration
+	}{{"batch_window", s.BatchWindow, &window}, {"deadline", s.Deadline, &deadline},
+		{"slo", s.SLO, &slo}, {"net_lat", s.NetLat, &netLat}} {
+		if d.v == "" {
+			continue
+		}
+		v, err := faults.ParseDuration(d.v)
+		if err != nil {
+			return fail(fmt.Errorf("dmx: spec %s: %w", d.field, err))
+		}
+		*d.dst = v
 	}
 
 	// Host configuration.
-	ptok := s.Placement
-	if ptok == "" {
-		ptok = "bump"
-	}
-	p, ok := specPlacements[strings.ToLower(ptok)]
+	p, ok := specPlacements[strings.ToLower(cmp.Or(s.Placement, "bump"))]
 	if !ok {
 		return fail(fmt.Errorf("dmx: spec placement %q (want one of allcpu, multiaxl, integrated, standalone, pcie, bump)", s.Placement))
 	}
@@ -226,26 +239,16 @@ func (s Spec) Resolve() (FleetConfig, TrafficSpec, []*Pipeline, error) {
 		}
 		cfg.Sched = sched
 	}
-	if cfg.Sched == SchedPriority {
-		cfg.AppPriority = make([]int, len(pipes))
-		for i := range cfg.AppPriority {
-			cfg.AppPriority[i] = i
-		}
-	}
-	if s.BatchWindow != "" {
-		w, err := faults.ParseDuration(s.BatchWindow)
-		if err != nil {
-			return fail(fmt.Errorf("dmx: spec batch_window: %w", err))
-		}
-		cfg.BatchWindow = w
-	}
+	cfg.BatchWindow = window
 	cfg.BatchMax = s.BatchMax
 	cfg.AdmitLimit = s.Admit
 	if len(s.FuseHops) > 0 {
 		cfg.FuseHops = append([]FusePair(nil), s.FuseHops...)
 	}
 
-	// Fault plan and recovery, mirroring the dmxsim flag wiring.
+	// Fault plan and recovery. Injection implies the default retry
+	// policy — faulted runs recover (retry, then degrade to CPU
+	// restructuring) rather than fail — and Retry / Deadline tune it.
 	if s.Faults != "" {
 		plan, err := ParseFaultPlan(s.Faults)
 		if err != nil {
@@ -261,57 +264,38 @@ func (s Spec) Resolve() (FleetConfig, TrafficSpec, []*Pipeline, error) {
 		if s.Retry > 0 {
 			r.MaxAttempts = s.Retry
 		}
-		if s.Deadline != "" {
-			d, err := faults.ParseDuration(s.Deadline)
-			if err != nil {
-				return fail(fmt.Errorf("dmx: spec deadline: %w", err))
-			}
-			r.StageDeadline = d
-		}
+		r.StageDeadline = deadline
 		cfg.Retry = r
 	}
 
-	// Traffic.
-	if s.Arrival == "" {
-		return fail(fmt.Errorf("dmx: spec needs an arrival process (closed, open, or poisson)"))
-	}
-	arr, err := traffic.ParseArrival(s.Arrival)
-	if err != nil {
-		return fail(err)
-	}
-	ts := TrafficSpec{Arrival: arr, Rate: s.Rate, Requests: s.Requests, Seed: s.Seed}
-	if s.SLO != "" {
-		d, err := faults.ParseDuration(s.SLO)
+	// Traffic. No arrival is the one-request-per-app run, which only a
+	// single host can serve: the router needs an arrival process.
+	hosts := max(s.Hosts, 1)
+	var ts TrafficSpec
+	if s.Arrival != "" {
+		arr, err := traffic.ParseArrival(s.Arrival)
 		if err != nil {
-			return fail(fmt.Errorf("dmx: spec slo: %w", err))
+			return fail(err)
 		}
-		ts.Deadline = d
+		ts = TrafficSpec{Arrival: arr, Rate: s.Rate, Requests: s.Requests, Seed: s.Seed, Deadline: slo}
+	} else if hosts > 1 {
+		return fail(fmt.Errorf("dmx: spec hosts %d needs an arrival process (closed, open, or poisson)", hosts))
 	}
 
 	// Cluster shape. Cluster-only knobs on a one-host spec are rejected
-	// for the same reason dmxsim rejects the flags: a single host has no
-	// inter-host network, so accepting them would report physics the
-	// document doesn't contain.
-	hosts := s.Hosts
-	if hosts == 0 {
-		hosts = 1
-	}
+	// rather than ignored: a single host has no inter-host network or
+	// router, so accepting them would report physics the document
+	// doesn't contain.
 	if hosts == 1 {
 		var bad []string
-		if s.NetCore != 0 {
-			bad = append(bad, "net_core")
-		}
-		if s.NetNIC != 0 {
-			bad = append(bad, "net_nic")
-		}
-		if s.NetLat != "" {
-			bad = append(bad, "net_lat")
-		}
-		if s.Shards > 1 || s.Shards < 0 {
-			bad = append(bad, "shards")
-		}
-		if s.HostAdmit != 0 {
-			bad = append(bad, "host_admit")
+		for _, f := range []struct {
+			field string
+			set   bool
+		}{{"net_core", s.NetCore != 0}, {"net_nic", s.NetNIC != 0}, {"net_lat", s.NetLat != ""},
+			{"shards", s.Shards > 1}, {"host_admit", s.HostAdmit != 0}, {"drain", s.Drain != ""}} {
+			if f.set {
+				bad = append(bad, f.field)
+			}
 		}
 		if len(bad) > 0 {
 			return fail(fmt.Errorf("dmx: spec field(s) %s need hosts > 1 (got hosts %d)",
@@ -327,20 +311,57 @@ func (s Spec) Resolve() (FleetConfig, TrafficSpec, []*Pipeline, error) {
 		fc.Router.Policy = pol
 	}
 	fc.Router.HostAdmit = s.HostAdmit
-	fc.Net = NetConfig{NICBytesPerSec: s.NetNIC, CoreBytesPerSec: s.NetCore}
-	if s.NetLat != "" {
-		d, err := faults.ParseDuration(s.NetLat)
-		if err != nil {
-			return fail(fmt.Errorf("dmx: spec net_lat: %w", err))
+	if s.Drain != "" {
+		n, window, hasWindow := strings.Cut(s.Drain, "/")
+		inc, err := strconv.Atoi(n)
+		if err != nil || inc < 1 {
+			return fail(fmt.Errorf("dmx: spec drain %q (want \"N/window\" or \"N\" with N ≥ 1)", s.Drain))
 		}
-		fc.Net.Latency = d
+		fc.Router.DrainIncidents = inc
+		if hasWindow {
+			d, err := faults.ParseDuration(window)
+			if err != nil {
+				return fail(fmt.Errorf("dmx: spec drain window: %w", err))
+			}
+			fc.Router.DrainWindow = d
+		}
+	}
+	fc.Net = NetConfig{NICBytesPerSec: s.NetNIC, CoreBytesPerSec: s.NetCore, Latency: netLat}
+
+	// Workload selection, last: building the benchmarks is the one
+	// expensive step, so every cheap check has run by now.
+	benches, err := specBenchmarks(s.Apps, scale)
+	if err != nil {
+		return fail(err)
+	}
+	copies := max(s.Copies, 1)
+	pipes := make([]*Pipeline, 0, copies*len(benches))
+	for i := 0; i < copies; i++ {
+		for _, b := range benches {
+			pipes = append(pipes, b.Pipeline)
+		}
+	}
+	if cfg.Sched == SchedPriority {
+		// Default priority order: app index (earlier instances first).
+		fc.Base.AppPriority = make([]int, len(pipes))
+		for i := range fc.Base.AppPriority {
+			fc.Base.AppPriority[i] = i
+		}
 	}
 	return fc, ts, pipes, nil
 }
 
+// errNoArrival rejects a one-request-per-app spec where a load run is
+// required: Simulate and Tune report LoadReports.
+var errNoArrival = errors.New("dmx: spec needs an arrival process (closed, open, or poisson)")
+
 // Simulate resolves the spec and runs it through SimulateCluster — the
-// one-call replay path for a tuner winner or a saved experiment.
+// one-call replay path for a tuner winner or a saved experiment. The
+// spec must set Arrival.
 func (s Spec) Simulate() (LoadReport, error) {
+	if s.Arrival == "" {
+		return LoadReport{}, errNoArrival
+	}
 	fc, ts, pipes, err := s.Resolve()
 	if err != nil {
 		return LoadReport{}, err
@@ -348,8 +369,9 @@ func (s Spec) Simulate() (LoadReport, error) {
 	return SimulateCluster(fc, ts, pipes...)
 }
 
-// specBenchmarks resolves app names at a scale. pir-ner and genai-rag
-// live outside the Table I Suite and are constructed on demand.
+// specBenchmarks resolves app names at a scale; "all" (the dmxsim
+// -app spelling) is the Table I Suite. pir-ner and genai-rag live
+// outside the Suite and are constructed on demand.
 func specBenchmarks(names []string, sc workload.Scale) ([]*workload.Benchmark, error) {
 	suite, err := workload.Suite(sc)
 	if err != nil {
@@ -364,6 +386,10 @@ func specBenchmarks(names []string, sc workload.Scale) ([]*workload.Benchmark, e
 	}
 	out := make([]*workload.Benchmark, 0, len(names))
 	for _, name := range names {
+		if name == "all" {
+			out = append(out, suite...)
+			continue
+		}
 		if b, ok := byName[name]; ok {
 			out = append(out, b)
 			continue

@@ -115,7 +115,7 @@ func TestSpecResolveErrors(t *testing.T) {
 		mutate func(*Spec)
 		want   string
 	}{
-		{"no arrival", func(s *Spec) { s.Arrival = "" }, "arrival"},
+		{"fleet without arrival", func(s *Spec) { s.Arrival = ""; s.Hosts = 2 }, "hosts 2 needs an arrival"},
 		{"bad arrival", func(s *Spec) { s.Arrival = "bursty" }, "bursty"},
 		{"bad scale", func(s *Spec) { s.Scale = "huge" }, "scale"},
 		{"bad placement", func(s *Spec) { s.Placement = "fpga" }, "placement"},
@@ -125,13 +125,55 @@ func TestSpecResolveErrors(t *testing.T) {
 		{"bad duration", func(s *Spec) { s.SLO = "fast" }, "slo"},
 		{"bad router", func(s *Spec) { s.Router = "random" }, "policy"},
 		{"negative copies", func(s *Spec) { s.Copies = -1 }, "copies"},
+		{"negative retry", func(s *Spec) { s.Retry = -1 }, "spec retry -1"},
+		{"negative hosts", func(s *Spec) { s.Hosts = -2 }, "spec hosts -2"},
+		{"negative shards", func(s *Spec) { s.Hosts = 2; s.Shards = -1 }, "spec shards -1"},
+		{"negative batch_max", func(s *Spec) { s.BatchMax = -8 }, "spec batch_max -8"},
+		{"negative admit", func(s *Spec) { s.Admit = -1 }, "spec admit -1"},
+		{"negative host_admit", func(s *Spec) { s.Hosts = 2; s.HostAdmit = -4 }, "spec host_admit -4"},
 		{"cluster-only on one host", func(s *Spec) { s.NetLat = "2us"; s.Shards = 2 }, "hosts > 1"},
+		{"drain on one host", func(s *Spec) { s.Drain = "3/2ms" }, "drain need hosts > 1"},
+		{"drain trailing junk", func(s *Spec) { s.Hosts = 2; s.Drain = "3x/2ms" }, `drain "3x/2ms"`},
+		{"drain fraction", func(s *Spec) { s.Hosts = 2; s.Drain = "3.5" }, `drain "3.5"`},
+		{"drain zero", func(s *Spec) { s.Hosts = 2; s.Drain = "0" }, `drain "0"`},
+		{"drain bad window", func(s *Spec) { s.Hosts = 2; s.Drain = "3/fast" }, "drain window"},
 	}
 	for _, tc := range cases {
 		s := base
 		tc.mutate(&s)
 		if _, _, _, err := s.Resolve(); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %v, want mention of %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// No arrival is the one-request-per-app run: Resolve returns a zero
+// TrafficSpec, while Simulate (a LoadReport) still needs an arrival.
+// Drain wires the router's incident threshold and window.
+func TestSpecResolveOneShotAndDrain(t *testing.T) {
+	s := Spec{Apps: []string{"sound-detection"}, Scale: "test"}
+	fc, ts, pipes, err := s.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(ts, TrafficSpec{}) || fc.Hosts != 1 || len(pipes) != 1 {
+		t.Errorf("one-shot spec: traffic %+v, hosts %d, %d pipelines", ts, fc.Hosts, len(pipes))
+	}
+	if _, err := s.Simulate(); err == nil || !strings.Contains(err.Error(), "arrival") {
+		t.Errorf("Simulate without an arrival: %v", err)
+	}
+	s.Hosts, s.Arrival = 2, "poisson"
+	for drain, want := range map[string]RouterConfig{
+		"3/2ms": {DrainIncidents: 3, DrainWindow: 2 * Millisecond},
+		"4":     {DrainIncidents: 4},
+	} {
+		s.Drain = drain
+		fc, _, _, err := s.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fc.Router != want {
+			t.Errorf("drain %q: router %+v, want %+v", drain, fc.Router, want)
 		}
 	}
 }

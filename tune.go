@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"dmx/internal/dmxsys"
-	"dmx/internal/faults"
 	"dmx/internal/tune"
 )
 
@@ -145,39 +143,6 @@ func specWithAxes(base Spec, a tune.Axes) Spec {
 	return s
 }
 
-// specStartAxes reads the base spec's axis fields as the search start.
-func specStartAxes(base Spec) (tune.Axes, error) {
-	var a tune.Axes
-	ptok := base.Placement
-	if ptok == "" {
-		ptok = "bump"
-	}
-	p, ok := specPlacements[strings.ToLower(ptok)]
-	if !ok {
-		return a, fmt.Errorf("dmx: tune base placement %q", base.Placement)
-	}
-	a.Placement = p
-	if base.Discipline != "" {
-		sched, err := dmxsys.ParseSched(base.Discipline)
-		if err != nil {
-			return a, err
-		}
-		a.Sched = sched
-	}
-	if base.BatchWindow != "" {
-		w, err := faults.ParseDuration(base.BatchWindow)
-		if err != nil {
-			return a, fmt.Errorf("dmx: tune base batch_window: %w", err)
-		}
-		a.BatchWindow = w
-	}
-	a.BatchMax = base.BatchMax
-	a.Admit = base.Admit
-	a.Retry = base.Retry
-	a.Fuse = append([]FusePair(nil), base.FuseHops...)
-	return a, nil
-}
-
 // Tune searches placements, scheduling disciplines, batching windows,
 // admission caps, retry budgets, and cross-hop kernel fusion for the
 // configuration of ts.Base that maximizes throughput under the SLO.
@@ -188,15 +153,24 @@ func specStartAxes(base Spec) (tune.Axes, error) {
 // complete Spec whose replay reproduces the winning numbers exactly.
 func Tune(ts TuneSpec) (TuneResult, error) {
 	base := ts.Base
+	if base.Arrival == "" {
+		return TuneResult{}, fmt.Errorf("dmx: tune base: %w", errNoArrival)
+	}
 	// The base must itself resolve — it fixes the workload, traffic,
-	// and fleet shape every candidate shares.
-	_, tspec, pipes, err := base.Resolve()
+	// and fleet shape every candidate shares, and its host config is the
+	// search's start point.
+	fc, tspec, pipes, err := base.Resolve()
 	if err != nil {
 		return TuneResult{}, fmt.Errorf("dmx: tune base: %w", err)
 	}
-	start, err := specStartAxes(base)
-	if err != nil {
-		return TuneResult{}, err
+	start := tune.Axes{
+		Placement:   fc.Base.Placement,
+		Sched:       fc.Base.Sched,
+		BatchWindow: fc.Base.BatchWindow,
+		BatchMax:    fc.Base.BatchMax,
+		Admit:       fc.Base.AdmitLimit,
+		Retry:       base.Retry,
+		Fuse:        fc.Base.FuseHops,
 	}
 	var placements []Placement
 	for _, tok := range ts.Placements {
