@@ -10,11 +10,12 @@ import (
 // Capacity is the analytic steady-state throughput bound of one app on
 // one replica of the plan: the largest per-request exclusive occupancy
 // any shared resource (service station, fabric link, or host channel)
-// would accumulate, and its inverse, the request rate at which that
-// resource saturates. It mirrors, charge for charge, the occupancy the
-// request machine records at run time, so a measured fault-free
-// bottleneck (AppReport.Bottleneck) matches it exactly — and the
-// cluster router uses it as the placement-aware routing score.
+// accumulates, and its inverse, the request rate at which that resource
+// saturates (Sec. VII-A: the slowest stage sets throughput). It is the
+// simulator's one capacity model: Run reports it as AppReport.Bottleneck,
+// the serving experiments size offered load from it, the cluster router
+// uses it as the placement-aware routing score, and open-loop overload
+// saturates at it (TestRunLoadSaturationMatchesCapacity).
 type Capacity struct {
 	// PerRequest is the bottleneck resource's occupancy per request.
 	PerRequest sim.Duration
@@ -28,9 +29,8 @@ type Capacity struct {
 func (p *Plan) Capacity(i int) Capacity { return p.apps[i].cap }
 
 // appCapacity statically accumulates the per-request occupancy charges
-// of one request walking app i's pipeline — the same charges flow.go's
-// occupy calls record — and picks the maximum with the same
-// lexicographic tie-break as appInstance.bottleneck.
+// of one request walking app i's pipeline — every station job, fabric
+// leg, and host-channel job flow.go issues — and picks the maximum.
 func (p *Plan) appCapacity(i int, pa *planApp) Capacity {
 	cfg := p.cfg
 	pipe := p.pipes[i]
@@ -87,7 +87,7 @@ func (p *Plan) appCapacity(i int, pa *planApp) Capacity {
 		h := pipe.Hops[k]
 		hop := sim.Duration(0)
 		if cfg.Placement.UsesDRX() {
-			hop = p.drxTimes[h.Kernel.Signature()]
+			hop = pa.hopDRX[k]
 		}
 		if pa.fusion != nil {
 			// Fusion changes what the DRX unit is charged: the leader hop
@@ -96,8 +96,8 @@ func (p *Plan) appCapacity(i int, pa *planApp) Capacity {
 			// free), and the follower hop charges nothing. The gap here is
 			// an uncontended estimate — transfer legs at line rate plus the
 			// intermediate accelerator's service — so fused capacity is a
-			// seeding bound, not the exact measured-occupancy identity the
-			// unfused placements keep.
+			// seeding bound: contention that stretches the gap lowers the
+			// real plateau below it.
 			switch pa.fusion[k].role {
 			case fuseLeader:
 				next := pipe.Stages[k+1]
@@ -138,8 +138,8 @@ func (p *Plan) appCapacity(i int, pa *planApp) Capacity {
 	return pickBottleneck(occ)
 }
 
-// pickBottleneck selects the largest charge with appInstance.bottleneck's
-// deterministic lexicographic tie-break.
+// pickBottleneck selects the largest charge, breaking ties
+// deterministically on the lexicographically smallest resource name.
 func pickBottleneck(occ map[string]sim.Duration) Capacity {
 	var c Capacity
 	for res, d := range occ {

@@ -95,7 +95,7 @@ const (
 	// SchedSRS is shortest-remaining-service: stations serve the waiting
 	// job whose request has the least precomputed service demand still
 	// ahead of it in its pipeline (the per-stage occupancy model that
-	// also drives AppReport.Bottleneck). Short requests overtake long
+	// also drives Plan.Capacity). Short requests overtake long
 	// ones, which minimizes mean sojourn time under mixed request sizes.
 	SchedSRS
 )

@@ -149,11 +149,10 @@ type unit struct {
 	watchdog sim.EventRef
 	wdArmed  bool
 
-	// hold is the DRX slot a fused leader hop retained (nil otherwise);
-	// holdAt is the instant the hold was delivered. The follower hop
-	// resumes the resident program on it, or degradation releases it.
-	hold   *sim.Hold
-	holdAt sim.Time
+	// hold is the DRX slot a fused leader hop retained (nil otherwise).
+	// The follower hop resumes the resident program on it, or degradation
+	// releases it.
+	hold *sim.Hold
 }
 
 // dmaLeg is one DMA leg as its completion span reports it: type,
@@ -474,12 +473,10 @@ func (u *unit) startLeg(typ obs.Type, step uint8, from, to string, bytes int64) 
 	u.leg = dmaLeg{typ: typ, step: step, from: from, to: to, bytes: bytes, begin: u.s.Eng.Now()}
 }
 
-// dma moves bytes from → to as one fabric DMA leg: it charges the
-// route's occupancy now and starts the transfer after delay (the driver
-// round trip and descriptor setup the leg pays); arrived runs on
-// delivery.
+// dma moves bytes from → to as one fabric DMA leg: it starts the
+// transfer after delay (the driver round trip and descriptor setup the
+// leg pays); arrived runs on delivery.
 func (u *unit) dma(typ obs.Type, step uint8, from, to string, bytes int64, delay sim.Duration, arrived func()) {
-	u.s.occupyPath(u.a, from, to, bytes)
 	u.s.Eng.Schedule(delay, u.guard(func() {
 		u.startLeg(typ, step, from, to, bytes)
 		u.transfer(from, to, bytes, arrived)
@@ -504,9 +501,8 @@ func (u *unit) landed() {
 // stepInput ships the unit's payload host → first accelerator, then
 // enters the kernel/hop chain.
 func (u *unit) stepInput() {
-	s, a := u.s, u.a
+	a := u.a
 	bytes := u.n() * a.pipe.InputBytes
-	s.occupyPath(a, pcie.Root, a.accelDev[0], bytes)
 	u.startLeg(obs.TypeInputDMA, 0, pcie.Root, a.accelDev[0], bytes)
 	u.transfer(pcie.Root, a.accelDev[0], bytes, u.inputArrived)
 }
@@ -545,7 +541,6 @@ func (u *unit) kernelAttempt() {
 	s.obsInstant(a, obs.TypeKernelEnqueued, step, dev, "", st.Accel.Name, bytes)
 	srv := s.servers[dev]
 	service := st.Accel.Latency(bytes)
-	a.occupyServer(srv, service)
 	u.arm(st.Accel.Name, true)
 	srv.SubmitKeyed(a.id, u.key(a.remAtKernel), service, u.guard(u.kernelDone))
 }
@@ -611,7 +606,6 @@ func (u *unit) stepCPUKernel() {
 	if work < 1 {
 		work = 1
 	}
-	s.occupyCPU(a, work, bytes)
 	s.obsInstant(a, obs.TypeKernelEnqueued, 0, pcie.Root, "", st.Accel.Name, bytes)
 	s.cpuJob(work, bytes, u.cpuKernelDone)
 }
@@ -643,7 +637,6 @@ func (u *unit) cpuRestructure(next func()) {
 	ops, bytes := s.restructureWork(h.Kernel)
 	ops, bytes = ops*u.n(), bytes*u.n()
 	s.obsInstant(a, obs.TypeHostRestructure, 0, pcie.Root, "", h.Kernel.Name, u.hopIn())
-	s.occupyCPU(a, ops, bytes)
 	s.cpuJob(ops, bytes, next)
 }
 
@@ -731,9 +724,6 @@ func (u *unit) hopSwitchIn() {
 	s, a := u.s, u.a
 	from := a.accelDev[u.k]
 	bytes := u.hopIn()
-	if l, err := s.Fabric.UpLink(from); err == nil {
-		a.occupy(l.Name, sim.BytesAt(bytes, l.Bandwidth))
-	}
 	s.Eng.Schedule(u.hopEntryDelay(), func() {
 		u.startLeg(obs.TypeP2PDMA, obs.StepRXDMA, from, "drx."+a.sw, bytes)
 		arrived := u.guard(u.hopArrived)
@@ -750,9 +740,6 @@ func (u *unit) hopSwitchRestructured() {
 	to := a.accelDev[u.k+1]
 	bytes := u.hopOut()
 	u.lap(phaseRestructure)
-	if l, err := s.Fabric.DownLink(to); err == nil {
-		a.occupy(l.Name, sim.BytesAt(bytes, l.Bandwidth))
-	}
 	u.startLeg(obs.TypeP2PDMA, obs.StepP2PDMA, "drx."+a.sw, to, bytes)
 	done := u.guard(u.hopDone)
 	u.fabricAttempt(u.leg.from, to, 1, func() error {
@@ -877,14 +864,7 @@ func (u *unit) restructureAttempt() {
 		// released the hold): fall through to the standalone submit of
 		// this hop's unfused kernel.
 	}
-	d, err := s.drxServiceTime(h.Kernel)
-	if err != nil {
-		// Cache warmed in New; reachable only on a mutated config.
-		u.fail(fmt.Errorf("dmxsys: %w", err))
-		return
-	}
-	d *= sim.Duration(u.n())
-	a.occupyServer(a.drxServer[k], d)
+	d := a.hopDRX[k] * sim.Duration(u.n())
 	u.arm(drx, false)
 	a.drxServer[k].SubmitKeyed(a.id, u.key(a.remAtHop), d, u.guard(func() {
 		u.disarm()
@@ -903,7 +883,6 @@ func (u *unit) fusedLeader(f hopFusion) {
 	s, a, k := u.s, u.a, u.k
 	drx := a.drxServer[k].Name()
 	part := f.part * sim.Duration(u.n())
-	a.occupyServer(a.drxServer[k], part)
 	u.arm(drx, false)
 	// The hold callback bypasses guard: a guarded drop (watchdog fired,
 	// unit retired) would leak the retained slot and wedge the DRX, so
@@ -921,22 +900,20 @@ func (u *unit) fusedLeader(f hopFusion) {
 			return
 		}
 		u.hold = h
-		u.holdAt = s.Eng.Now()
 		u.restructured()
 	})
 }
 
 // fusedResume runs the fused program's second segment on the slot the
 // leader hop retained. The DRX was held (occupied but idle) across the
-// gap; the unit charges that residency plus the segment, which is
-// exactly what the station's slot could not serve others for.
+// gap, so the slot served no one else from the leader's first segment
+// to the end of this one.
 func (u *unit) fusedResume(f hopFusion) {
 	s, a, k := u.s, u.a, u.k
 	drx := a.drxServer[k].Name()
 	hold := u.hold
 	u.hold = nil
 	part := f.part * sim.Duration(u.n())
-	a.occupyServer(a.drxServer[k], s.Eng.Now().Sub(u.holdAt)+part)
 	u.arm(drx, false)
 	hold.Resume(part, u.guard(func() {
 		u.disarm()

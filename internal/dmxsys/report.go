@@ -19,10 +19,11 @@ type AppReport struct {
 
 	// Bottleneck is the largest per-request occupancy across the shared
 	// resources the request path uses (each accelerator station, DRX
-	// unit, fabric link, and host channel), measured during the run. Its
-	// inverse is the app's steady-state capacity: requests pipeline
-	// through distinct resources, so the slowest single resource gates
-	// throughput. BottleneckResource names it.
+	// unit, fabric link, and host channel): the plan's analytic bound
+	// (Plan.Capacity), filled by Run. Its inverse is the app's
+	// steady-state capacity: requests pipeline through distinct
+	// resources, so the slowest single resource gates throughput.
+	// BottleneckResource names it (plain, unprefixed).
 	Bottleneck         sim.Duration
 	BottleneckResource string
 
@@ -58,8 +59,8 @@ func (r AppReport) StageMax(nKernels int) sim.Duration {
 }
 
 // Throughput reports requests/second at steady state for the app: the
-// inverse of the measured per-request bottleneck occupancy when the run
-// recorded one, else the coarse stage-analysis estimate (StageMax) as a
+// inverse of the per-request bottleneck occupancy when the report
+// carries one, else the coarse stage-analysis estimate (StageMax) as a
 // fallback for hand-built reports.
 func (r AppReport) Throughput(nKernels int) float64 {
 	if r.Bottleneck > 0 {
@@ -142,9 +143,10 @@ func (s *System) Run() (RunReport, error) {
 		Switches:  s.nSwitches,
 		DRXCount:  s.nDRX,
 	}
-	for _, a := range s.apps {
+	for i, a := range s.apps {
 		ar := a.rep
-		ar.Bottleneck, ar.BottleneckResource = a.bottleneck()
+		c := s.plan.Capacity(i)
+		ar.Bottleneck, ar.BottleneckResource = c.PerRequest, c.Resource
 		rep.Apps = append(rep.Apps, ar)
 	}
 	rep.EnergyJ, rep.EnergyBreakdown = s.energyReport(rep.Makespan)

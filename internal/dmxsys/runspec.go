@@ -30,10 +30,10 @@ const (
 	// latency/energy decomposition (the historical Simulate).
 	ModeSingle RunMode = iota
 	// ModeStream issues a closed-loop burst of Requests per application
-	// and reports steady-state throughput (SimulateStream).
+	// and reports steady-state throughput (dmx.Run with StreamSpec).
 	ModeStream
 	// ModeLoad drives the system with the Traffic spec's arrival
-	// process and reports the serving summary (SimulateLoad).
+	// process and reports the serving summary (dmx.Run with LoadSpec).
 	ModeLoad
 )
 

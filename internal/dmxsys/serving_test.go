@@ -2,8 +2,10 @@ package dmxsys
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
+	"dmx/internal/sim"
 	"dmx/internal/sweep"
 	"dmx/internal/traffic"
 )
@@ -70,50 +72,74 @@ func TestRunLoadDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestRunLoadSaturationMatchesCapacity drives one app far past its
-// capacity and checks that the achieved completion rate plateaus at the
-// AppReport.Throughput bound (the inverse of the measured bottleneck
-// occupancy). Bump-in-the-wire keeps restructuring off the shared host,
-// so the bound is tight there.
+// TestRunLoadSaturationMatchesCapacity checks the analytic capacity
+// bound against behaviour: one app driven open-loop at 3x its
+// Plan.Capacity must complete at that rate. The DRX-bound rows slow the
+// DRX's DRAM so a DRX station (the plan's per-hop DRX table) gates.
+//
+// Rows left out, because one resource's occupancy is not the whole
+// story there: Multi-Axl and All-CPU restructure as fork-join jobs on
+// the shared host channels (DESIGN.md §8), which plateau 15% below and
+// 4.5% above the bound; and DRX-bound PCIe-Integrated, whose 4-slot
+// station biases the (n-1)/span rate estimator 1.6% high at 64
+// requests.
 func TestRunLoadSaturationMatchesCapacity(t *testing.T) {
-	probe, err := New(DefaultConfig(BumpInTheWire), pipelines(1))
-	if err != nil {
-		t.Fatal(err)
+	drxBound := func(p Placement) Config {
+		cfg := DefaultConfig(p)
+		cfg.DRX.DRAMBytesPerSec = 1e9
+		return cfg
 	}
-	rep, err := probe.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ar := rep.Apps[0]
-	if ar.Bottleneck <= 0 {
-		t.Fatalf("run recorded no bottleneck occupancy (resource %q)", ar.BottleneckResource)
-	}
-	capacity := ar.Throughput(len(pipelines(1)[0].Stages))
-
-	sys, err := New(DefaultConfig(BumpInTheWire), pipelines(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lr, err := sys.RunLoad(traffic.Spec{
-		Arrival:  traffic.OpenLoop,
-		Rate:     3 * capacity,
-		Requests: 64,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	al := lr.PerApp[0]
-	if al.Completed != 64 {
-		t.Fatalf("%d/64 requests completed", al.Completed)
-	}
-	if rel := (al.Achieved - capacity) / capacity; rel > 0.01 || rel < -0.01 {
-		t.Errorf("achieved %.4g req/s vs capacity bound %.4g req/s (%.2f%% off, bottleneck %s)",
-			al.Achieved, capacity, 100*rel, ar.BottleneckResource)
-	}
-	// Overload must show up as queueing: the tail has to sit well above
-	// the mean of an unloaded run.
-	if al.P99 <= al.Mean {
-		t.Errorf("p99 %v not above mean %v under 3x overload", al.P99, al.Mean)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		drx  bool // the bound must sit on a DRX station
+	}{
+		{Integrated.String(), DefaultConfig(Integrated), false},
+		{Standalone.String(), DefaultConfig(Standalone), false},
+		{PCIeIntegrated.String(), DefaultConfig(PCIeIntegrated), false},
+		{BumpInTheWire.String(), DefaultConfig(BumpInTheWire), false},
+		{Integrated.String() + "-DRX-bound", drxBound(Integrated), true},
+		{Standalone.String() + "-DRX-bound", drxBound(Standalone), true},
+		{BumpInTheWire.String() + "-DRX-bound", drxBound(BumpInTheWire), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plan, err := NewPlan(tc.cfg, pipelines(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := plan.Capacity(0)
+			if c.PerRequest <= 0 || c.PerSecond <= 0 {
+				t.Fatalf("degenerate capacity %+v", c)
+			}
+			if tc.drx && !strings.Contains(c.Resource, "drx") {
+				t.Fatalf("bound sits on %q, want a DRX station", c.Resource)
+			}
+			sys, err := plan.Instantiate(sim.NewEngine(), HostOpts{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			lr, err := sys.RunLoad(traffic.Spec{
+				Arrival:  traffic.OpenLoop,
+				Rate:     3 * c.PerSecond,
+				Requests: 64,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			al := lr.PerApp[0]
+			if al.Completed != 64 {
+				t.Fatalf("%d/64 requests completed", al.Completed)
+			}
+			if rel := (al.Achieved - c.PerSecond) / c.PerSecond; rel > 0.01 || rel < -0.01 {
+				t.Errorf("achieved %.6g req/s vs capacity bound %.6g req/s (%+.3f%%, bottleneck %s)",
+					al.Achieved, c.PerSecond, 100*rel, c.Resource)
+			}
+			// Overload must show up as queueing: the tail has to sit well
+			// above the mean.
+			if al.P99 <= al.Mean {
+				t.Errorf("p99 %v not above mean %v under 3x overload", al.P99, al.Mean)
+			}
+		})
 	}
 }
 

@@ -140,68 +140,16 @@ type appInstance struct {
 	// which has no contended stations).
 	remAtKernel []sim.Duration
 	remAtHop    []sim.Duration
+	// hopDRX[k] is hop k's per-request DRX service time (nil when the
+	// placement restructures on the CPU). Plan state, shared read-only.
+	hopDRX []sim.Duration
 
 	// fusion[k] is hop k's role in a fused pair (nil when Config.FuseHops
 	// is empty — the unfused flow, bit-for-bit). Plan state, shared
 	// read-only across replicas.
 	fusion []hopFusion
 
-	// occ accumulates, per shared resource (server, link, or host
-	// channel), the exclusive occupancy the app's requests charged it.
-	// Divided by the request count it is the per-request occupancy whose
-	// maximum bounds steady-state throughput (AppReport.Bottleneck).
-	occ map[string]sim.Duration
-
 	rep AppReport
-}
-
-// occupy charges one request's exclusive use of a named resource.
-func (a *appInstance) occupy(name string, d sim.Duration) {
-	a.occ[name] += d
-}
-
-// occupyPath charges a payload's serialization time against every link
-// of a fabric route. Route errors are ignored here: the transfer itself
-// reports them through the request machine.
-func (s *System) occupyPath(a *appInstance, from, to string, n int64) {
-	links, err := s.Fabric.PathLinks(from, to)
-	if err != nil {
-		return
-	}
-	for _, l := range links {
-		a.occupy(l.Name, sim.BytesAt(n, l.Bandwidth))
-	}
-}
-
-// occupyCPU charges a host job's drain time on the two shared CPU
-// channels.
-func (s *System) occupyCPU(a *appInstance, ops, bytes int64) {
-	a.occupy(s.cpuCompute.Name(), sim.BytesAt(ops, s.cpuCompute.Capacity()))
-	a.occupy(s.cpuMem.Name(), sim.BytesAt(bytes, s.cpuMem.Capacity()))
-}
-
-// occupyServer charges a service-station job, spread across the
-// station's slots (a k-slot server serves k requests concurrently).
-func (a *appInstance) occupyServer(srv *sim.Server, d sim.Duration) {
-	a.occupy(srv.Name(), d/sim.Duration(srv.Slots()))
-}
-
-// bottleneck reports the largest per-request occupancy across the
-// resources the app's requests used, with a deterministic (lexicographic)
-// tie-break on the resource name.
-func (a *appInstance) bottleneck() (sim.Duration, string) {
-	if a.requests == 0 {
-		return 0, ""
-	}
-	var max sim.Duration
-	name := ""
-	for res, d := range a.occ {
-		per := d / sim.Duration(a.requests)
-		if per > max || (per == max && (name == "" || res < name)) {
-			max, name = per, res
-		}
-	}
-	return max, name
 }
 
 // Plan is the shareable immutable half of a System: validated layout
@@ -237,6 +185,7 @@ type planApp struct {
 
 	remAtKernel []sim.Duration
 	remAtHop    []sim.Duration
+	hopDRX      []sim.Duration
 	maxBatch    int
 	fusion      []hopFusion
 
@@ -365,12 +314,16 @@ func NewPlan(cfg Config, pipelines []*Pipeline) (*Plan, error) {
 			p.nDRX++
 		}
 
-		// Warm the DRX service-time cache.
+		// Resolve every hop's DRX service time once; the walker, the
+		// scheduling tables, and the capacity bound all read this table.
 		if cfg.Placement.UsesDRX() {
-			for _, h := range pipe.Hops {
-				if _, err := p.drxTime(h.Kernel); err != nil {
+			pa.hopDRX = make([]sim.Duration, len(pipe.Hops))
+			for k, h := range pipe.Hops {
+				d, err := p.drxTime(h.Kernel)
+				if err != nil {
 					return nil, err
 				}
+				pa.hopDRX[k] = d
 			}
 		}
 
@@ -398,7 +351,7 @@ func NewPlan(cfg Config, pipelines []*Pipeline) (*Plan, error) {
 			if pa.fusion == nil {
 				pa.fusion = make([]hopFusion, len(pipe.Hops))
 			}
-			t1, t2 := p.drxTimes[k1.Signature()], p.drxTimes[k2.Signature()]
+			t1, t2 := pa.hopDRX[fp.Hop], pa.hopDRX[fp.Hop+1]
 			part1 := ft / 2
 			if t1+t2 > 0 {
 				part1 = sim.Duration(float64(ft) * float64(t1) / float64(t1+t2))
@@ -420,7 +373,7 @@ func NewPlan(cfg Config, pipelines []*Pipeline) (*Plan, error) {
 				if k < len(pipe.Hops) {
 					hop := sim.Duration(0)
 					if cfg.Placement.UsesDRX() {
-						hop = p.drxTimes[pipe.Hops[k].Kernel.Signature()]
+						hop = pa.hopDRX[k]
 						if pa.fusion != nil && pa.fusion[k].role != fuseNone {
 							// A fused hop's station demand is its segment of
 							// the merged program.
@@ -549,7 +502,7 @@ func (p *Plan) Instantiate(eng *sim.Engine, opts HostOpts) (*System, error) {
 
 	for i, pipe := range p.pipes {
 		pa := &p.apps[i]
-		a := &appInstance{id: i, pipe: pipe, occ: make(map[string]sim.Duration)}
+		a := &appInstance{id: i, pipe: pipe}
 		a.rep.App = pipe.Name
 		a.track = fmt.Sprintf("%s%s#%d", pfx, pipe.Name, i)
 		if pa.sw != "" {
@@ -621,10 +574,11 @@ func (p *Plan) Instantiate(eng *sim.Engine, opts HostOpts) (*System, error) {
 			}
 		}
 
-		// The scheduling tables, batch ceiling, and fusion table are plan
-		// state: shared read-only across replicas.
+		// The scheduling and DRX service tables, batch ceiling, and fusion
+		// table are plan state: shared read-only across replicas.
 		a.remAtKernel = pa.remAtKernel
 		a.remAtHop = pa.remAtHop
+		a.hopDRX = pa.hopDRX
 		a.maxBatch = pa.maxBatch
 		a.fusion = pa.fusion
 
@@ -731,7 +685,7 @@ func (p *Plan) FusionCandidates() []FusionCandidate {
 			out = append(out, FusionCandidate{
 				App:     i,
 				Hop:     k,
-				Unfused: p.drxTimes[k1.Signature()] + p.drxTimes[k2.Signature()],
+				Unfused: p.apps[i].hopDRX[k] + p.apps[i].hopDRX[k+1],
 				Fused:   ft,
 			})
 		}
@@ -813,10 +767,11 @@ func WarmDRXTimes(dcfg drx.Config, pipelines []*Pipeline) error {
 	})
 }
 
-// drxServiceTime resolves a kernel's DRX duration at run time. The
-// plan's warmed map covers every pipeline kernel; the global-cache and
-// compute paths remain for ad-hoc kernels (reports, tests). The plan
-// map is never written here, so replicas share it race-free.
+// drxServiceTime resolves any kernel's DRX duration after plan time
+// (collectives, reports, tests; the request walker reads the plan's
+// per-hop table instead). The plan's warmed map covers every pipeline
+// kernel; the global-cache and compute paths remain for ad-hoc kernels.
+// The plan map is never written here, so replicas share it race-free.
 func (s *System) drxServiceTime(k *restructure.Kernel) (sim.Duration, error) {
 	if d, ok := s.plan.drxTimes[k.Signature()]; ok {
 		return d, nil

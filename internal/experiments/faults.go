@@ -85,7 +85,7 @@ func faultPlan(mtbf sim.Duration) *faults.Plan {
 }
 
 // Faults runs the fault-injection experiment: for every Table I
-// benchmark on the bump-in-the-wire placement, measure the capacity
+// benchmark on the bump-in-the-wire placement, read the plan's capacity
 // bound, then drive Poisson load at 75% of it while sweeping fault
 // intensity. At each point the report records availability, the share
 // of completions that degraded to CPU restructuring, and the clean vs
@@ -100,18 +100,13 @@ func Faults() (*FaultResult, error) {
 	res := &FaultResult{Curves: make([]FaultCurve, len(benches))}
 	var jobs []faultJob
 	for i, b := range benches {
-		rep, err := runSystem(dmxsys.BumpInTheWire, benches[i:i+1])
+		c, err := bumpCapacity(b)
 		if err != nil {
 			return nil, err
 		}
-		ar := rep.Apps[0]
-		if ar.Bottleneck <= 0 {
-			return nil, fmt.Errorf("experiments: %s recorded no bottleneck occupancy", b.Name)
-		}
 		res.Curves[i] = FaultCurve{Bench: b.Name}
-		capacity := ar.Throughput(len(b.Pipeline.Stages))
 		for _, m := range faultMTBFs {
-			jobs = append(jobs, faultJob{bench: b, capacity: capacity, mtbf: m})
+			jobs = append(jobs, faultJob{bench: b, capacity: c.PerSecond, mtbf: m})
 		}
 	}
 	points, err := sweep.Map(jobs, func(_ int, j faultJob) (FaultPoint, error) {

@@ -182,8 +182,8 @@ func Fig13() (*Fig13Result, error) {
 		}
 		// Throughput per app = 1 / slowest logical pipeline stage (the
 		// paper's Sec. VII-A analysis), geomeaned over instances. The
-		// serving experiment (Load) uses the measured occupancy bound
-		// instead; this figure keeps the paper's stage metric.
+		// serving experiment (Load) uses the plan's analytic capacity
+		// bound instead; this figure keeps the paper's stage metric.
 		thr := func(rep dmxsys.RunReport) float64 {
 			var xs []float64
 			for _, a := range rep.Apps {

@@ -36,8 +36,8 @@ type LoadPoint struct {
 // the bump-in-the-wire (DMX) placement.
 type LoadCurve struct {
 	Bench string
-	// Capacity is the AppReport.Throughput bound (inverse of the
-	// measured per-request bottleneck occupancy); Bottleneck names the
+	// Capacity is the plan's analytic bound (Plan.Capacity: the inverse
+	// of the per-request bottleneck occupancy); Bottleneck names the
 	// gating resource.
 	Capacity   float64
 	Bottleneck string
@@ -61,10 +61,20 @@ type loadJob struct {
 	fraction float64
 }
 
+// bumpCapacity is one benchmark's analytic capacity bound on the
+// default bump-in-the-wire placement.
+func bumpCapacity(b *workload.Benchmark) (dmxsys.Capacity, error) {
+	plan, err := dmxsys.NewPlan(dmxsys.DefaultConfig(dmxsys.BumpInTheWire), []*dmxsys.Pipeline{b.Pipeline})
+	if err != nil {
+		return dmxsys.Capacity{}, err
+	}
+	return plan.Capacity(0), nil
+}
+
 // Load runs the serving experiment: for every Table I benchmark on the
-// bump-in-the-wire placement, measure the capacity bound from one closed
-// run, then sweep open-loop offered load across loadFractions and record
-// the latency distribution and achieved rate at each point. The
+// bump-in-the-wire placement, read the plan's capacity bound, then
+// sweep open-loop offered load across loadFractions and record the
+// latency distribution and achieved rate at each point. The
 // (benchmark x fraction) cells are independent simulations and run on
 // the sweep worker pool.
 func Load() (*LoadResult, error) {
@@ -75,19 +85,11 @@ func Load() (*LoadResult, error) {
 	res := &LoadResult{Curves: make([]LoadCurve, len(benches))}
 	var jobs []loadJob
 	for i, b := range benches {
-		rep, err := runSystem(dmxsys.BumpInTheWire, benches[i:i+1])
+		c, err := bumpCapacity(b)
 		if err != nil {
 			return nil, err
 		}
-		ar := rep.Apps[0]
-		if ar.Bottleneck <= 0 {
-			return nil, fmt.Errorf("experiments: %s recorded no bottleneck occupancy", b.Name)
-		}
-		res.Curves[i] = LoadCurve{
-			Bench:      b.Name,
-			Capacity:   ar.Throughput(len(b.Pipeline.Stages)),
-			Bottleneck: ar.BottleneckResource,
-		}
+		res.Curves[i] = LoadCurve{Bench: b.Name, Capacity: c.PerSecond, Bottleneck: c.Resource}
 		for _, f := range loadFractions {
 			jobs = append(jobs, loadJob{bench: b, capacity: res.Curves[i].Capacity, fraction: f})
 		}

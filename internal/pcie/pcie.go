@@ -213,16 +213,16 @@ func (f *Fabric) route(from, to string) ([]*sim.Channel, sim.Duration, error) {
 		2*SwitchPortLatency + RootComplexLatency, nil
 }
 
-// LinkInfo identifies one channel on a transfer path for capacity
-// analysis: its name and one-direction bandwidth in bytes/second.
+// LinkInfo identifies one channel on a transfer path: its name and
+// one-direction bandwidth in bytes/second.
 type LinkInfo struct {
 	Name      string
 	Bandwidth float64
 }
 
 // PathLinks reports the channels a Transfer between the endpoints would
-// occupy, in path order. Capacity analysis uses it to charge a payload's
-// serialization time against every link it crosses.
+// cross, in path order: the static route, for inspection and route
+// benchmarks.
 func (f *Fabric) PathLinks(from, to string) ([]LinkInfo, error) {
 	path, _, err := f.route(from, to)
 	if err != nil {
@@ -233,24 +233,6 @@ func (f *Fabric) PathLinks(from, to string) ([]LinkInfo, error) {
 		out[i] = LinkInfo{Name: ch.Name(), Bandwidth: ch.Capacity()}
 	}
 	return out, nil
-}
-
-// UpLink reports the device's upstream link (the TransferUp path).
-func (f *Fabric) UpLink(dev string) (LinkInfo, error) {
-	d, ok := f.devices[dev]
-	if !ok {
-		return LinkInfo{}, fmt.Errorf("pcie: unknown device %q", dev)
-	}
-	return LinkInfo{Name: d.link.up.Name(), Bandwidth: d.link.up.Capacity()}, nil
-}
-
-// DownLink reports the device's downstream link (the TransferDown path).
-func (f *Fabric) DownLink(dev string) (LinkInfo, error) {
-	d, ok := f.devices[dev]
-	if !ok {
-		return LinkInfo{}, fmt.Errorf("pcie: unknown device %q", dev)
-	}
-	return LinkInfo{Name: d.link.down.Name(), Bandwidth: d.link.down.Capacity()}, nil
 }
 
 // Transfer starts a DMA of n bytes between endpoints (device names or
