@@ -118,42 +118,39 @@ func DefaultConfig(p Placement) Config { return dmxsys.DefaultConfig(p) }
 func DefaultDRX() DRXConfig { return drx.DefaultConfig() }
 
 // Unified execution surface. Run is the single entry point; Simulate is
-// its one-request wrapper, and a stream or load run is Run with
-// StreamSpec(n) or LoadSpec(t).
+// its one-request wrapper, and a load run is Run with LoadSpec(t). A
+// streamed (back-to-back) run is the closed-loop load
+// LoadSpec(TrafficSpec{Arrival: ClosedLoop, Requests: n}).
 type (
 	// RunSpec selects and parameterizes the execution mode: a
-	// single-request latency run (the zero value), a closed-loop
-	// stream, or a traffic-generated load. Build one directly or with
-	// SingleSpec/StreamSpec/LoadSpec.
+	// single-request latency run (the zero value) or a
+	// traffic-generated load. Build one directly or with
+	// SingleSpec/LoadSpec.
 	RunSpec = dmxsys.RunSpec
 	// RunMode is the execution front-end selector of a RunSpec.
 	RunMode = dmxsys.RunMode
-	// Report is Run's union result: exactly one of Single, Stream, or
-	// Load is non-nil, matching the spec's mode.
+	// Report is Run's union result: exactly one of Single or Load is
+	// non-nil, matching the spec's mode.
 	Report = dmxsys.Report
 )
 
 // Execution modes.
 const (
 	ModeSingle = dmxsys.ModeSingle
-	ModeStream = dmxsys.ModeStream
 	ModeLoad   = dmxsys.ModeLoad
 )
 
 // SingleSpec is a one-request-per-app latency run (the zero RunSpec).
 func SingleSpec() RunSpec { return dmxsys.SingleSpec() }
 
-// StreamSpec is a closed-loop run of n requests per app.
-func StreamSpec(n int) RunSpec { return dmxsys.StreamSpec(n) }
-
 // LoadSpec is a traffic-driven serving run.
 func LoadSpec(spec TrafficSpec) RunSpec { return dmxsys.LoadSpec(spec) }
 
 // Run assembles a fresh system from cfg and the pipelines and executes
 // it under the spec, returning the mode's report: a one-request latency
-// run (the zero spec, what Simulate unwraps), a closed-loop stream
-// (StreamSpec(n)), or a traffic-driven load (LoadSpec(t)). The same
-// cfg, spec, and pipelines always produce an identical report.
+// run (the zero spec, what Simulate unwraps) or a traffic-driven load
+// (LoadSpec(t), closed-loop streams included). The same cfg, spec, and
+// pipelines always produce an identical report.
 func Run(cfg Config, spec RunSpec, pipelines ...*Pipeline) (Report, error) {
 	sys, err := dmxsys.New(cfg, pipelines)
 	if err != nil {
@@ -172,9 +169,6 @@ func Simulate(cfg Config, pipelines ...*Pipeline) (RunReport, error) {
 	}
 	return *rep.Single, nil
 }
-
-// StreamReport aggregates a streamed (back-to-back request) simulation.
-type StreamReport = dmxsys.StreamReport
 
 // Serving-layer surface: load generation with explicit arrival
 // processes and latency/throughput reporting. Continuous batching

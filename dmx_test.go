@@ -73,12 +73,13 @@ func TestSimulateStreamThroughPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := dmx.Run(dmx.DefaultConfig(dmx.BumpInTheWire), dmx.StreamSpec(4), suite[1].Pipeline)
+	spec := dmx.LoadSpec(dmx.TrafficSpec{Arrival: dmx.ClosedLoop, Requests: 4})
+	rep, err := dmx.Run(dmx.DefaultConfig(dmx.BumpInTheWire), spec, suite[1].Pipeline)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Stream.PerApp) != 1 || rep.Stream.PerApp[0].Throughput <= 0 {
-		t.Fatalf("bad stream report: %+v", rep.Stream)
+	if len(rep.Load.PerApp) != 1 || rep.Load.PerApp[0].Achieved <= 0 {
+		t.Fatalf("bad stream report: %+v", rep.Load)
 	}
 }
 

@@ -226,12 +226,8 @@ func (f *Fleet) Run(spec traffic.Spec) (traffic.LoadReport, error) {
 	// Partial accounting rows: one per (host, app), plus one router row
 	// per app holding router-level rejections. MergeApps sums them.
 	parts := make([][]traffic.AppLoad, nh)
-	firsts := make([][]sim.Time, nh)
-	lasts := make([][]sim.Time, nh)
 	for h := 0; h < nh; h++ {
 		parts[h] = make([]traffic.AppLoad, apps)
-		firsts[h] = make([]sim.Time, apps)
-		lasts[h] = make([]sim.Time, apps)
 		for i := 0; i < apps; i++ {
 			parts[h][i].App = f.plans[0].Pipeline(i).Name
 		}
@@ -269,48 +265,20 @@ func (f *Fleet) Run(spec traffic.Spec) (traffic.LoadReport, error) {
 					"cluster.router", fmt.Sprintf("h%d", h), pipe.Name,
 					f.cfg.Router.Policy.String(), int64(f.rt.outstanding[h]))
 
-				retire := func(ret dmxsys.Retired) {
-					end := f.eng0.Now()
-					al := &parts[h][i]
-					al.Retries += ret.Retries
-					al.Timeouts += ret.Timeouts
-					remaining--
-					switch ret.Outcome {
-					case traffic.OutcomeRejected:
-						al.Rejected++
-						return
-					case traffic.OutcomeAbandoned:
-						al.Abandoned++
-						return
-					}
-					// End-to-end latency and deadline: measured from the
-					// cluster arrival, so network time counts against the
-					// budget exactly like queueing time.
-					lat := obs.Duration(end.Sub(now))
-					al.Latency.Add(lat)
-					if ret.Outcome == traffic.OutcomeDegraded {
-						al.Degraded++
-						al.DegradedLat.Add(lat)
-					} else {
-						al.CleanLat.Add(lat)
-					}
-					if dl != 0 && end > now.Add(dl) {
-						al.Missed++
-					}
-					if al.Completed == 0 || end < firsts[h][i] {
-						firsts[h][i] = end
-					}
-					if end > lasts[h][i] {
-						lasts[h][i] = end
-					}
-					al.Completed++
+				// End-to-end latency and deadline: measured from the
+				// cluster arrival, so network time counts against the
+				// budget exactly like queueing time.
+				deadline := sim.Time(0)
+				if dl != 0 {
+					deadline = now.Add(dl)
 				}
 				// The router's outstanding slot frees when the response
 				// arrives back at the router — on the global lane, where
 				// all routing state lives.
 				finish := func(ret dmxsys.Retired) {
 					f.rt.outstanding[h]--
-					retire(ret)
+					remaining--
+					parts[h][i].Retire(ret.Outcome, ret.Retries, ret.Timeouts, now, f.eng0.Now(), deadline)
 				}
 				deliver := func() {
 					f.hosts[h].Admit(i, dl, func(ret dmxsys.Retired) {
@@ -367,9 +335,6 @@ func (f *Fleet) Run(spec traffic.Spec) (traffic.LoadReport, error) {
 		rows := make([]traffic.AppLoad, 0, nh+1)
 		for h := 0; h < nh; h++ {
 			al := &parts[h][i]
-			if span := lasts[h][i].Sub(firsts[h][i]).Seconds(); al.Completed > 1 && span > 0 {
-				al.Achieved = float64(al.Completed-1) / span
-			}
 			al.Batches, al.BatchedRequests = f.hosts[h].BatchStats(i)
 			rows = append(rows, *al)
 		}

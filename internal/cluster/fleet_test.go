@@ -10,6 +10,7 @@ package cluster_test
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -107,6 +108,11 @@ func TestFleetSingleHostByteIdentity(t *testing.T) {
 			_, got := fleetRun(t, cluster.FleetConfig{Hosts: 1, Base: tc.cfg()}, tc.spec, b.Pipeline)
 			if got.String() != want.String() {
 				t.Errorf("one-host fleet diverged from RunLoad:\n--- fleet\n%s\n--- solo\n%s", got, want)
+			}
+			// String prints neither First/Last nor the histograms; the
+			// whole report, field for field, must match too.
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("one-host fleet report differs from RunLoad's beyond its text:\n--- fleet\n%+v\n--- solo\n%+v", got, want)
 			}
 		})
 	}

@@ -1,6 +1,6 @@
 package dmxsys_test
 
-// The batched serving walk is pinned the same way RunStream is: each
+// The batched serving walk is pinned like the closed-loop stream: each
 // (placement, scenario) cell's rendered text trace plus every LoadReport
 // field is hashed into testdata/batch_golden.txt. Scenarios cover a
 // fault-free EDF batching window, the same window under seeded DRX

@@ -54,9 +54,6 @@ func NewCollective(cfg CollectiveConfig) (*CollectiveSystem, error) {
 		Fabric:  pcie.New(eng),
 		cfg:     cfg.Sys,
 		servers: make(map[string]*sim.Server),
-		// A minimal plan shell: collective timing resolves kernels
-		// through the process-wide cache.
-		plan: &Plan{cfg: cfg.Sys, drxTimes: make(map[string]sim.Duration)},
 	}
 	m := cfg.Sys.CPU
 	opsPerSec := float64(m.Cores) * m.FreqHz * float64(m.SIMDLanes) * m.IssueEff
@@ -104,7 +101,7 @@ func (cs *CollectiveSystem) reduceDelay(onDRX bool, fanIn int, done func()) {
 	}
 	k := restructure.SumReduce(fanIn, int(cs.cfg.Bytes/4))
 	if onDRX {
-		d, err := s.drxServiceTime(k)
+		d, err := drxTime(s.cfg.DRX, k)
 		if err != nil {
 			s.fail(fmt.Errorf("dmxsys: collective DRX timing: %w", err))
 			return

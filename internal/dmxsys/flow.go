@@ -25,9 +25,9 @@ import (
 //
 // with a placement-specific hop sequence between kernels and a pure-CPU
 // chain (stepCPUKernel/cpuKernelDone/cpuRestructured) for the AllCPU
-// baseline. Run, RunStream, and RunLoad are thin front-ends over the
-// same machine: they differ only in the arrival offsets they feed the
-// shared drive loop.
+// baseline. Run and RunLoad are thin front-ends over the same machine:
+// they differ only in the arrival offsets they feed the shared drive
+// loop.
 //
 // Every step is written once for any n. Payload bytes and streamed
 // service (DRX restructuring, CPU work) scale by n; an accelerator
@@ -45,7 +45,7 @@ import (
 // Errors (fabric transfer failures, queue accounting violations, DRX
 // timing failures) do not panic: the unit records the first error on
 // the System via fail and stops advancing; the drive loop surfaces it
-// from Run/RunStream/RunLoad after the engine drains.
+// from Run/RunLoad after the engine drains.
 
 // phase tags attribute elapsed time in the app report.
 type phase int
@@ -270,11 +270,12 @@ func (u *unit) abandon() {
 }
 
 // admit is the serving front door for one arrival: admission control
-// first (RunLoad only), then the batching window when one is
-// configured, then a unit of one. With admission control and batching
-// both disabled it is startRequest, bit-for-bit.
+// first, then the batching window when one is configured, then a unit
+// of one. With admission control and batching both disabled it is
+// startRequest, bit-for-bit. (Run admits one request per app, so it
+// never reaches a positive limit.)
 func (s *System) admit(a *appInstance, deadline sim.Duration, done func(*request)) {
-	if s.admitting && s.cfg.AdmitLimit > 0 && a.inflight >= s.cfg.AdmitLimit {
+	if s.cfg.AdmitLimit > 0 && a.inflight >= s.cfg.AdmitLimit {
 		s.obsInstant(a, obs.TypeReject, 0, a.track, "", "", int64(a.inflight))
 		r := &request{track: a.track, outcome: traffic.OutcomeRejected}
 		// The request never executes: retire it through done directly so
@@ -1024,13 +1025,13 @@ func (u *unit) degradeRestructured() {
 	u.dma(obs.TypeHostDMA, 0, pcie.Root, u.a.accelDev[u.k+1], u.hopOut(), DMASetupLatency, u.hopDone)
 }
 
-// drive is the shared load driver under Run, RunStream, and RunLoad:
-// app i's request j is admitted at i·StartStagger + offsets(i)[j], the
-// engine runs to completion, and every retirement invokes onDone.
+// drive is the shared load driver under Run and RunLoad: app i's
+// request j is admitted at i·StartStagger + offsets(i)[j], the engine
+// runs to completion, and every retirement invokes onDone.
 // deadline is app i's per-request latency budget (nil = none). The
 // first flow error (or a deadlocked request train) is returned after
 // the drain.
-func (s *System) drive(offsets func(app int) []sim.Duration, deadline func(app int) sim.Duration, onDone func(app, req int, r *request)) error {
+func (s *System) drive(offsets func(app int) []sim.Duration, deadline func(app int) sim.Duration, onDone func(app int, r *request)) error {
 	remaining := 0
 	for i, a := range s.apps {
 		i, a := i, a
@@ -1039,13 +1040,12 @@ func (s *System) drive(offsets func(app int) []sim.Duration, deadline func(app i
 		if deadline != nil {
 			dl = deadline(i)
 		}
-		for j, off := range offsets(i) {
-			j := j
+		for _, off := range offsets(i) {
 			remaining++
 			s.Eng.Schedule(start+off, func() {
 				s.admit(a, dl, func(r *request) {
 					remaining--
-					onDone(i, j, r)
+					onDone(i, r)
 				})
 			})
 		}

@@ -1,14 +1,14 @@
 package dmxsys_test
 
 // The flow.go state-machine refactor must not move a single event: the
-// acceptance gate is that RunStream's report values and rendered text
-// trace are byte-identical before and after for all five Table I
-// applications under every placement. This golden test pins that
-// equivalence: each (app, placement) cell's full dump — every rendered
-// trace line plus the StreamReport fields — is hashed, and the hashes
-// were captured from the pre-refactor nested-closure implementation.
-// Run with -update only to regenerate after an *intentional* timing
-// change.
+// acceptance gate is that a closed-loop stream's report values and
+// rendered text trace are byte-identical before and after for all five
+// Table I applications under every placement. This golden test pins
+// that equivalence: each (app, placement) cell's full dump — every
+// rendered trace line plus the streamed rate fields of the load report
+// — is hashed, and the hashes were captured from the pre-refactor
+// nested-closure implementation. Run with -update only to regenerate
+// after an *intentional* timing change.
 
 import (
 	"flag"
@@ -21,6 +21,7 @@ import (
 
 	"dmx/internal/dmxsys"
 	"dmx/internal/sim"
+	"dmx/internal/traffic"
 	"dmx/internal/workload"
 )
 
@@ -28,8 +29,9 @@ var update = flag.Bool("update", false, "rewrite the stream golden file")
 
 const goldenRequests = 4
 
-// streamDump renders one streamed run as a stable text form: the exact
-// trace-line sequence followed by every StreamReport value.
+// streamDump renders one closed-loop run as a stable text form: the
+// exact trace-line sequence followed by the makespan and each app's
+// completion window and streamed rate.
 func streamDump(t *testing.T, b *workload.Benchmark, p dmxsys.Placement) string {
 	t.Helper()
 	cfg := dmxsys.DefaultConfig(p)
@@ -41,14 +43,14 @@ func streamDump(t *testing.T, b *workload.Benchmark, p dmxsys.Placement) string 
 	if err != nil {
 		t.Fatalf("%s/%v: %v", b.Name, p, err)
 	}
-	rep, err := s.RunStream(goldenRequests)
+	rep, err := s.RunLoad(traffic.Spec{Arrival: traffic.ClosedLoop, Requests: goldenRequests})
 	if err != nil {
 		t.Fatalf("%s/%v: %v", b.Name, p, err)
 	}
-	fmt.Fprintf(&sb, "placement=%v makespan=%d\n", rep.Placement, int64(rep.Makespan))
+	fmt.Fprintf(&sb, "placement=%v makespan=%d\n", p, int64(rep.Makespan))
 	for _, a := range rep.PerApp {
 		fmt.Fprintf(&sb, "app=%s requests=%d first=%d last=%d throughput=%.9g\n",
-			a.App, a.Requests, int64(a.First), int64(a.Last), a.Throughput)
+			a.App, a.Requests, int64(a.First), int64(a.Last), a.Achieved)
 	}
 	return sb.String()
 }
@@ -63,7 +65,7 @@ func hashDump(dump string) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-func TestRunStreamGoldenAcrossAppsAndPlacements(t *testing.T) {
+func TestClosedLoopGoldenAcrossAppsAndPlacements(t *testing.T) {
 	benches, err := workload.Suite(workload.TestScale)
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 
 	"dmx/internal/obs"
 	"dmx/internal/sweep"
+	"dmx/internal/traffic"
 )
 
 // captureTrace runs one traced simulation and returns the recorder and
@@ -198,7 +199,7 @@ func TestStreamedTraceValidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.RunStream(6); err != nil {
+	if _, err := s.RunLoad(traffic.Spec{Arrival: traffic.ClosedLoop, Requests: 6}); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

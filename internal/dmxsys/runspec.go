@@ -6,16 +6,14 @@ import (
 	"dmx/internal/traffic"
 )
 
-// RunSpec unifies the three execution front-ends behind one entry
-// point: a single-request latency run, a closed-loop stream, or a
-// traffic-generated load. The zero value is a single-request run, so
-// the simplest call sites need no spec at all.
+// RunSpec unifies the two execution front-ends behind one entry point:
+// a single-request latency run or a traffic-generated load (a
+// closed-loop stream is a load with traffic.ClosedLoop arrivals). The
+// zero value is a single-request run, so the simplest call sites need
+// no spec at all.
 type RunSpec struct {
 	// Mode selects the front-end.
 	Mode RunMode
-	// Requests is the closed-loop train length under ModeStream
-	// (at least 2, to measure a steady-state rate).
-	Requests int
 	// Traffic parameterizes ModeLoad (arrival process, rate, request
 	// count, seed, deadline).
 	Traffic traffic.Spec
@@ -29,9 +27,6 @@ const (
 	// ModeSingle runs one request per application and reports the
 	// latency/energy decomposition (the historical Simulate).
 	ModeSingle RunMode = iota
-	// ModeStream issues a closed-loop burst of Requests per application
-	// and reports steady-state throughput (dmx.Run with StreamSpec).
-	ModeStream
 	// ModeLoad drives the system with the Traffic spec's arrival
 	// process and reports the serving summary (dmx.Run with LoadSpec).
 	ModeLoad
@@ -39,7 +34,6 @@ const (
 
 var modeNames = [...]string{
 	ModeSingle: "single",
-	ModeStream: "stream",
 	ModeLoad:   "load",
 }
 
@@ -55,11 +49,6 @@ func (sp RunSpec) Validate() error {
 	switch sp.Mode {
 	case ModeSingle:
 		return nil
-	case ModeStream:
-		if sp.Requests < 2 {
-			return fmt.Errorf("dmxsys: stream runs need at least 2 requests to measure a rate (got %d)", sp.Requests)
-		}
-		return nil
 	case ModeLoad:
 		return sp.Traffic.Validate()
 	}
@@ -69,19 +58,14 @@ func (sp RunSpec) Validate() error {
 // SingleSpec is a one-request-per-app latency run.
 func SingleSpec() RunSpec { return RunSpec{Mode: ModeSingle} }
 
-// StreamSpec is a closed-loop run of n requests per app.
-func StreamSpec(n int) RunSpec { return RunSpec{Mode: ModeStream, Requests: n} }
-
 // LoadSpec is a traffic-driven serving run.
 func LoadSpec(spec traffic.Spec) RunSpec { return RunSpec{Mode: ModeLoad, Traffic: spec} }
 
-// Report is the union result of Execute: exactly one of the three
-// fields is non-nil, matching the spec's mode.
+// Report is the union result of Execute: exactly one of the two fields
+// is non-nil, matching the spec's mode.
 type Report struct {
 	// Single is the latency/energy decomposition (ModeSingle).
 	Single *RunReport
-	// Stream is the steady-state throughput summary (ModeStream).
-	Stream *StreamReport
 	// Load is the serving summary with failure accounting (ModeLoad).
 	Load *traffic.LoadReport
 }
@@ -91,30 +75,20 @@ func (r Report) String() string {
 	switch {
 	case r.Single != nil:
 		return r.Single.String()
-	case r.Stream != nil:
-		return fmt.Sprintf("stream(%v): %d apps, makespan %v",
-			r.Stream.Placement, len(r.Stream.PerApp), r.Stream.Makespan)
 	case r.Load != nil:
 		return r.Load.String()
 	}
 	return "report(empty)"
 }
 
-// Execute runs the system under the spec. Like Run, RunStream, and
-// RunLoad — which it dispatches to — it consumes the engine: build a
-// fresh System per call.
+// Execute runs the system under the spec. Like Run and RunLoad — which
+// it dispatches to — it consumes the engine: build a fresh System per
+// call.
 func (s *System) Execute(spec RunSpec) (Report, error) {
 	if err := spec.Validate(); err != nil {
 		return Report{}, err
 	}
-	switch spec.Mode {
-	case ModeStream:
-		rep, err := s.RunStream(spec.Requests)
-		if err != nil {
-			return Report{}, err
-		}
-		return Report{Stream: &rep}, nil
-	case ModeLoad:
+	if spec.Mode == ModeLoad {
 		rep, err := s.RunLoad(spec.Traffic)
 		if err != nil {
 			return Report{}, err

@@ -1,29 +1,28 @@
 package dmxsys
 
 import (
-	"dmx/internal/obs"
 	"dmx/internal/sim"
 	"dmx/internal/traffic"
 )
 
 // Load-generated execution: RunLoad drives the system with an explicit
-// arrival process (internal/traffic) instead of RunStream's closed-loop
-// burst. Open-loop and Poisson arrivals admit requests on their own
-// clock regardless of completions, so offered load above the pipeline's
-// capacity builds queueing delay — the latency-vs-offered-load curves
-// of the serving experiments.
+// arrival process (internal/traffic). A closed-loop spec releases every
+// request at once and the pipeline paces completions — the streamed
+// steady-state throughput of Sec. VII-A. Open-loop and Poisson arrivals
+// admit requests on their own clock regardless of completions, so
+// offered load above the pipeline's capacity builds queueing delay — the
+// latency-vs-offered-load curves of the serving experiments.
 
 // RunLoad issues spec.Requests requests per application under the
 // spec's arrival process and simulates to completion. The system must
-// be freshly built (Run, RunStream, and RunLoad consume the engine).
+// be freshly built (Run and RunLoad consume the engine).
 func (s *System) RunLoad(spec traffic.Spec) (traffic.LoadReport, error) {
 	if err := spec.Validate(); err != nil {
 		return traffic.LoadReport{}, err
 	}
 	rep := traffic.LoadReport{Arrival: spec.Arrival, Seed: spec.Seed}
 	rep.PerApp = make([]traffic.AppLoad, len(s.apps))
-	firsts := make([]sim.Time, len(s.apps))
-	lasts := make([]sim.Time, len(s.apps))
+	arrivals := make([][]sim.Duration, len(s.apps))
 	for i, a := range s.apps {
 		al := &rep.PerApp[i]
 		al.App = a.pipe.Name
@@ -31,63 +30,18 @@ func (s *System) RunLoad(spec traffic.Spec) (traffic.LoadReport, error) {
 		if spec.Arrival != traffic.ClosedLoop {
 			al.Offered = spec.Rate
 		}
-	}
-	arrivals := make([][]sim.Duration, len(s.apps))
-	for i := range s.apps {
 		arrivals[i] = spec.Arrivals(i)
 	}
-	// Admission control is a serving-layer behavior: only RunLoad has a
-	// rejection channel in its report, so the limit gates here and not
-	// under Run/RunStream.
-	s.admitting = true
 	err := s.drive(func(app int) []sim.Duration { return arrivals[app] }, spec.DeadlineFor,
-		func(app, req int, r *request) {
-			now := s.Eng.Now()
-			al := &rep.PerApp[app]
-			al.Retries += r.retries
-			al.Timeouts += r.timeouts
-			if r.outcome == traffic.OutcomeRejected {
-				// Rejected requests never executed: no latency sample,
-				// no completion.
-				al.Rejected++
-				return
-			}
-			if r.outcome == traffic.OutcomeAbandoned {
-				// Abandoned requests retire without completing: no
-				// latency sample, no completion, no rate contribution.
-				al.Abandoned++
-				return
-			}
-			lat := obs.Duration(now.Sub(r.start))
-			al.Latency.Add(lat)
-			if r.outcome == traffic.OutcomeDegraded {
-				al.Degraded++
-				al.DegradedLat.Add(lat)
-			} else {
-				al.CleanLat.Add(lat)
-			}
-			if r.deadline != 0 && now > r.deadline {
-				al.Missed++
-			}
-			if al.Completed == 0 || now < firsts[app] {
-				firsts[app] = now
-			}
-			if now > lasts[app] {
-				lasts[app] = now
-			}
-			al.Completed++
+		func(app int, r *request) {
+			rep.PerApp[app].Retire(r.outcome, r.retries, r.timeouts, r.start, s.Eng.Now(), r.deadline)
 		})
 	if err != nil {
 		return traffic.LoadReport{}, err
 	}
 	rep.Makespan = sim.Duration(s.Eng.Now())
 	for i := range rep.PerApp {
-		al := &rep.PerApp[i]
-		if span := lasts[i].Sub(firsts[i]).Seconds(); al.Completed > 1 && span > 0 {
-			al.Achieved = float64(al.Completed-1) / span
-		}
-		al.Batches = s.apps[i].nbatches
-		al.BatchedRequests = s.apps[i].batchedReqs
+		rep.PerApp[i].Batches, rep.PerApp[i].BatchedRequests = s.BatchStats(i)
 	}
 	rep.Finalize()
 	return rep, nil
@@ -109,7 +63,6 @@ type Retired struct {
 // prefix a fleet of one driving Admit per arrival reproduces RunLoad's
 // engine timeline event for event.
 func (s *System) Admit(app int, deadline sim.Duration, done func(Retired)) {
-	s.admitting = true
 	s.admit(s.apps[app], deadline, func(r *request) {
 		done(Retired{Outcome: r.outcome, Retries: r.retries, Timeouts: r.timeouts})
 	})

@@ -5,35 +5,35 @@ import (
 	"testing"
 
 	"dmx/internal/sim"
+	"dmx/internal/traffic"
 )
 
-func TestRunStreamPipelines(t *testing.T) {
-	s, err := New(DefaultConfig(BumpInTheWire), pipelines(1))
+// closedLoop runs n back-to-back requests per app: the streamed
+// steady-state measurement of Sec. VII-A.
+func closedLoop(t *testing.T, p Placement, napps, n int) traffic.LoadReport {
+	t.Helper()
+	s, err := New(DefaultConfig(p), pipelines(napps))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := s.RunStream(8)
+	rep, err := s.RunLoad(traffic.Spec{Arrival: traffic.ClosedLoop, Requests: n})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return rep
+}
+
+func TestClosedLoopPipelines(t *testing.T) {
+	rep := closedLoop(t, BumpInTheWire, 1, 8)
 	if len(rep.PerApp) != 1 {
 		t.Fatalf("%d app streams", len(rep.PerApp))
 	}
-	as := rep.PerApp[0]
-	if as.Throughput <= 0 {
+	if rep.PerApp[0].Achieved <= 0 {
 		t.Fatal("no throughput measured")
 	}
 	// Pipelining: 8 requests must finish in well under 8× a single
 	// request's latency.
-	single, err := New(DefaultConfig(BumpInTheWire), pipelines(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	singleRep, err := single.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	lat := singleRep.Apps[0].Total
+	lat := run(t, BumpInTheWire, 1).Apps[0].Total
 	if float64(rep.Makespan) > 7.5*float64(lat) {
 		t.Errorf("streamed makespan %v shows no pipelining vs single latency %v", rep.Makespan, lat)
 	}
@@ -44,25 +44,8 @@ func TestStreamedThroughputValidatesStageAnalysis(t *testing.T) {
 	// streamed rate must agree within a factor of two in both
 	// directions — they are different estimators of the same pipeline.
 	for _, p := range []Placement{MultiAxl, BumpInTheWire} {
-		lat, err := New(DefaultConfig(p), pipelines(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		latRep, err := lat.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		analytic := latRep.Apps[0].Throughput(2)
-
-		str, err := New(DefaultConfig(p), pipelines(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		strRep, err := str.RunStream(12)
-		if err != nil {
-			t.Fatal(err)
-		}
-		measured := strRep.PerApp[0].Throughput
+		analytic := run(t, p, 1).Apps[0].Throughput(2)
+		measured := closedLoop(t, p, 1, 12).PerApp[0].Achieved
 		if measured <= 0 {
 			t.Fatalf("%v: no measured throughput", p)
 		}
@@ -75,37 +58,17 @@ func TestStreamedThroughputValidatesStageAnalysis(t *testing.T) {
 }
 
 func TestStreamedDMXThroughputBeatsBaseline(t *testing.T) {
-	run := func(p Placement) float64 {
-		s, err := New(DefaultConfig(p), pipelines(2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := s.RunStream(8)
-		if err != nil {
-			t.Fatal(err)
-		}
+	total := func(p Placement) float64 {
 		var sum float64
-		for _, a := range rep.PerApp {
-			sum += a.Throughput
+		for _, a := range closedLoop(t, p, 2, 8).PerApp {
+			sum += a.Achieved
 		}
 		return sum
 	}
-	base := run(MultiAxl)
-	dmxT := run(BumpInTheWire)
+	base := total(MultiAxl)
+	dmxT := total(BumpInTheWire)
 	if dmxT <= base {
 		t.Errorf("streamed DMX throughput %.1f not above baseline %.1f", dmxT, base)
-	}
-}
-
-func TestRunStreamValidation(t *testing.T) {
-	s, err := New(DefaultConfig(BumpInTheWire), pipelines(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.RunStream(1); err == nil {
-		t.Error("RunStream(1) did not return an error")
-	} else if !strings.Contains(err.Error(), "at least 2 requests") {
-		t.Errorf("unexpected RunStream(1) error: %v", err)
 	}
 }
 

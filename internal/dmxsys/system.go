@@ -69,10 +69,6 @@ type System struct {
 	// units counts the shells ever allocated: once a run drains, the
 	// pool must hold every one of them (a missing shell leaked).
 	units int
-	// admitting is true while RunLoad drives the system; admission
-	// control applies only there (Run and RunStream issue fixed request
-	// sets whose reports have no rejection channel).
-	admitting bool
 
 	// inj is the fault injector (nil = no faults). hazardous is true
 	// when faults or a retry policy are active; every fault/retry check
@@ -83,7 +79,7 @@ type System struct {
 
 	// err is the first flow error (invalid fabric route, queue
 	// accounting violation, DRX timing failure). The request machine
-	// records it via fail instead of panicking; Run/RunStream/RunLoad
+	// records it via fail instead of panicking; Run and RunLoad
 	// surface it after the engine drains.
 	err error
 }
@@ -165,11 +161,6 @@ type Plan struct {
 	nSwitches int
 	nDRX      int
 	nCards    int
-
-	// drxTimes maps kernel signature → simulated DRX duration under
-	// cfg.DRX, fully warmed at plan time. Read-only after NewPlan, so
-	// replicas (and parallel sweep workers) share it without locking.
-	drxTimes map[string]sim.Duration
 }
 
 // planApp is one pipeline's placement decisions and precomputed tables.
@@ -241,7 +232,7 @@ func NewPlan(cfg Config, pipelines []*Pipeline) (*Plan, error) {
 	if len(pipelines) == 0 {
 		return nil, fmt.Errorf("dmxsys: no pipelines")
 	}
-	p := &Plan{cfg: cfg, pipes: pipelines, drxTimes: make(map[string]sim.Duration)}
+	p := &Plan{cfg: cfg, pipes: pipelines}
 	for _, fp := range cfg.FuseHops {
 		if fp.App >= len(pipelines) {
 			return nil, fmt.Errorf("dmxsys: fuse pair app=%d hop=%d: only %d pipelines", fp.App, fp.Hop, len(pipelines))
@@ -319,7 +310,7 @@ func NewPlan(cfg Config, pipelines []*Pipeline) (*Plan, error) {
 		if cfg.Placement.UsesDRX() {
 			pa.hopDRX = make([]sim.Duration, len(pipe.Hops))
 			for k, h := range pipe.Hops {
-				d, err := p.drxTime(h.Kernel)
+				d, err := drxTime(cfg.DRX, h.Kernel)
 				if err != nil {
 					return nil, err
 				}
@@ -344,7 +335,7 @@ func NewPlan(cfg Config, pipelines []*Pipeline) (*Plan, error) {
 			if err != nil {
 				return nil, fmt.Errorf("dmxsys: fuse pair app=%d hop=%d: %w", fp.App, fp.Hop, err)
 			}
-			ft, err := p.drxTime(fused)
+			ft, err := drxTime(cfg.DRX, fused)
 			if err != nil {
 				return nil, fmt.Errorf("dmxsys: fuse pair app=%d hop=%d: %w", fp.App, fp.Hop, err)
 			}
@@ -624,22 +615,19 @@ type drxTimeKey struct {
 	cfg drx.Config
 }
 
-// drxTime resolves one kernel's DRX duration at plan time: the plan's
-// own map first, then the process-wide cache, then compile + simulate.
-func (p *Plan) drxTime(k *restructure.Kernel) (sim.Duration, error) {
-	if d, ok := p.drxTimes[k.Signature()]; ok {
-		return d, nil
-	}
-	key := drxTimeKey{sig: k.Signature(), cfg: p.cfg.DRX}
+// drxTime resolves one kernel's DRX duration under dcfg: the
+// process-wide cache first, then compile + simulate. It touches no
+// plan or system state, so plan building, collectives, warm-up, and
+// post-plan queries all share it from any goroutine.
+func drxTime(dcfg drx.Config, k *restructure.Kernel) (sim.Duration, error) {
+	key := drxTimeKey{sig: k.Signature(), cfg: dcfg}
 	if d, ok := drxTimeCache.Load(key); ok {
-		p.drxTimes[k.Signature()] = d.(sim.Duration)
 		return d.(sim.Duration), nil
 	}
-	d, err := drxTimeFor(p.cfg.DRX, k)
+	d, err := drxTimeFor(dcfg, k)
 	if err != nil {
 		return 0, err
 	}
-	p.drxTimes[k.Signature()] = d
 	drxTimeCache.Store(key, d)
 	return d, nil
 }
@@ -663,7 +651,7 @@ type FusionCandidate struct {
 // silently skipped — the enumeration answers "what could a search try",
 // not "what did the user ask for" (NewPlan errors on explicit FuseHops
 // that do not apply). Safe after NewPlan: timings resolve through the
-// process-wide cache, never by mutating shared plan state.
+// process-wide cache, never through plan state.
 func (p *Plan) FusionCandidates() []FusionCandidate {
 	switch p.cfg.Placement {
 	case Integrated, Standalone, PCIeIntegrated:
@@ -678,7 +666,7 @@ func (p *Plan) FusionCandidates() []FusionCandidate {
 			if err != nil {
 				continue
 			}
-			ft, err := drxTimeShared(p.cfg.DRX, fused)
+			ft, err := drxTime(p.cfg.DRX, fused)
 			if err != nil {
 				continue
 			}
@@ -691,22 +679,6 @@ func (p *Plan) FusionCandidates() []FusionCandidate {
 		}
 	}
 	return out
-}
-
-// drxTimeShared resolves a kernel's DRX duration through the
-// process-wide cache only, never touching plan-local state — the
-// post-NewPlan-safe path (plan maps are shared read-only by replicas).
-func drxTimeShared(dcfg drx.Config, k *restructure.Kernel) (sim.Duration, error) {
-	key := drxTimeKey{sig: k.Signature(), cfg: dcfg}
-	if d, ok := drxTimeCache.Load(key); ok {
-		return d.(sim.Duration), nil
-	}
-	d, err := drxTimeFor(dcfg, k)
-	if err != nil {
-		return 0, err
-	}
-	drxTimeCache.Store(key, d)
-	return d, nil
 }
 
 // drxTimeFor compiles and simulates a restructuring kernel on a DRX
@@ -742,55 +714,26 @@ func drxTimeFor(dcfg drx.Config, k *restructure.Kernel) (sim.Duration, error) {
 // serializing on (or duplicating) the compile/simulate step.
 func WarmDRXTimes(dcfg drx.Config, pipelines []*Pipeline) error {
 	var kernels []*restructure.Kernel
-	seen := make(map[drxTimeKey]struct{})
+	seen := make(map[string]bool)
 	for _, p := range pipelines {
 		for _, h := range p.Hops {
-			key := drxTimeKey{sig: h.Kernel.Signature(), cfg: dcfg}
-			if _, ok := seen[key]; ok {
-				continue
+			if sig := h.Kernel.Signature(); !seen[sig] {
+				seen[sig] = true
+				kernels = append(kernels, h.Kernel)
 			}
-			if _, ok := drxTimeCache.Load(key); ok {
-				continue
-			}
-			seen[key] = struct{}{}
-			kernels = append(kernels, h.Kernel)
 		}
 	}
 	return sweep.Each(len(kernels), func(i int) error {
-		k := kernels[i]
-		d, err := drxTimeFor(dcfg, k)
-		if err != nil {
-			return err
-		}
-		drxTimeCache.Store(drxTimeKey{sig: k.Signature(), cfg: dcfg}, d)
-		return nil
+		_, err := drxTime(dcfg, kernels[i])
+		return err
 	})
 }
 
-// drxServiceTime resolves any kernel's DRX duration after plan time
-// (collectives, reports, tests; the request walker reads the plan's
-// per-hop table instead). The plan's warmed map covers every pipeline
-// kernel; the global-cache and compute paths remain for ad-hoc kernels.
-// The plan map is never written here, so replicas share it race-free.
-func (s *System) drxServiceTime(k *restructure.Kernel) (sim.Duration, error) {
-	if d, ok := s.plan.drxTimes[k.Signature()]; ok {
-		return d, nil
-	}
-	key := drxTimeKey{sig: k.Signature(), cfg: s.cfg.DRX}
-	if d, ok := drxTimeCache.Load(key); ok {
-		return d.(sim.Duration), nil
-	}
-	d, err := drxTimeFor(s.cfg.DRX, k)
-	if err != nil {
-		return 0, err
-	}
-	drxTimeCache.Store(key, d)
-	return d, nil
-}
-
-// DRXServiceTime exposes the cached DRX duration for reports and tests.
+// DRXServiceTime resolves any kernel's DRX duration under the system's
+// DRX configuration, for reports and tests; the request walker reads
+// the plan's per-hop table instead.
 func (s *System) DRXServiceTime(k *restructure.Kernel) (sim.Duration, error) {
-	return s.drxServiceTime(k)
+	return drxTime(s.cfg.DRX, k)
 }
 
 // driverDelay models completion signaling NAPI-style (Sec. V): each

@@ -10,13 +10,22 @@ package traffic
 // an optional router-rejection row — into one cluster-wide row. Counts,
 // rates, and histograms sum; the derived quantile fields (Mean, P50,
 // ...) are left zero for LoadReport.Finalize to recompute from the
-// merged histograms. Merging a single partial is the identity, which is
-// what makes a one-host fleet byte-identical to a plain RunLoad.
+// merged histograms; First and Last span the partials that completed
+// anything. Merging a single partial is the identity, which is what
+// makes a one-host fleet byte-identical to a plain RunLoad.
 func MergeApps(parts ...AppLoad) AppLoad {
 	var out AppLoad
 	for _, p := range parts {
 		if out.App == "" {
 			out.App = p.App
+		}
+		if p.Completed > 0 {
+			if out.Completed == 0 || p.First < out.First {
+				out.First = p.First
+			}
+			if p.Last > out.Last {
+				out.Last = p.Last
+			}
 		}
 		out.Requests += p.Requests
 		out.Completed += p.Completed

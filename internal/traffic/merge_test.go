@@ -48,6 +48,21 @@ func TestMergeAppsSums(t *testing.T) {
 		t.Errorf("merged extrema [%v, %v], want [%v, %v]",
 			m.Latency.Min, m.Latency.Max, a.Latency.Min, b.Latency.Max)
 	}
+
+	// The completion window spans only partials that completed
+	// something: a rejection-only row (the router's) has zero First and
+	// Last, which must not drag the merged First down to zero.
+	ms := func(n int64) sim.Time { return sim.Time(sim.Duration(n) * sim.Millisecond) }
+	a.First, a.Last = ms(5), ms(9)
+	b.First, b.Last = ms(2), ms(7)
+	idle := AppLoad{App: "app", Requests: 3, Rejected: 3}
+	w := MergeApps(idle, a, b)
+	if w.First != ms(2) || w.Last != ms(9) {
+		t.Errorf("merged window [%v, %v], want [2ms, 9ms]", w.First, w.Last)
+	}
+	if w := MergeApps(idle); w.First != 0 || w.Last != 0 {
+		t.Errorf("window of a partial with no completions = [%v, %v], want zero", w.First, w.Last)
+	}
 }
 
 func TestMergeAppsQuantileClamp(t *testing.T) {

@@ -187,3 +187,59 @@ func TestFinalizeQuantileOrdering(t *testing.T) {
 		t.Errorf("Max = %v, want 1ms", a.Max)
 	}
 }
+
+func TestAppLoadRetire(t *testing.T) {
+	ms := func(n int64) sim.Time { return sim.Time(sim.Duration(n) * sim.Millisecond) }
+	lat := func(n int64) obs.Duration { return obs.Duration(sim.Duration(n) * sim.Millisecond) }
+	type retirement struct {
+		o                    Outcome
+		retries, timeouts    int
+		start, end, deadline sim.Time
+	}
+	type counts struct {
+		completed, missed, degraded, abandoned, rejected, retries, timeouts int
+		lat, clean, slow                                                    int64 // histogram sample counts
+		sum                                                                 obs.Duration
+		first, last                                                         sim.Time
+		achieved                                                            float64
+	}
+	cases := []struct {
+		name string
+		rets []retirement
+		want counts
+	}{
+		{"clean", []retirement{{o: OutcomeClean, start: ms(1), end: ms(3)}},
+			counts{completed: 1, lat: 1, clean: 1, sum: lat(2), first: ms(3), last: ms(3)}},
+		{"degraded", []retirement{{o: OutcomeDegraded, retries: 1, start: ms(1), end: ms(3)}},
+			counts{completed: 1, degraded: 1, retries: 1, lat: 1, slow: 1, sum: lat(2), first: ms(3), last: ms(3)}},
+		{"rejected leaves no sample", []retirement{{o: OutcomeRejected, end: ms(3), deadline: ms(1)}},
+			counts{rejected: 1}},
+		{"abandoned leaves no sample", []retirement{{o: OutcomeAbandoned, retries: 2, timeouts: 1, start: ms(1), end: ms(9), deadline: ms(2)}},
+			counts{abandoned: 1, retries: 2, timeouts: 1}},
+		{"end at deadline is met", []retirement{{o: OutcomeClean, start: ms(1), end: ms(4), deadline: ms(4)}},
+			counts{completed: 1, lat: 1, clean: 1, sum: lat(3), first: ms(4), last: ms(4)}},
+		{"end past deadline is missed", []retirement{{o: OutcomeClean, start: ms(1), end: ms(4) + 1, deadline: ms(4)}},
+			counts{completed: 1, missed: 1, lat: 1, clean: 1, sum: lat(3) + 1, first: ms(4) + 1, last: ms(4) + 1}},
+		{"zero deadline never misses", []retirement{{o: OutcomeClean, start: ms(1), end: ms(90)}},
+			counts{completed: 1, lat: 1, clean: 1, sum: lat(89), first: ms(90), last: ms(90)}},
+		{"rate over the completion window", []retirement{
+			{o: OutcomeClean, end: ms(1)}, {o: OutcomeClean, end: ms(2)}, {o: OutcomeDegraded, end: ms(3)}},
+			counts{completed: 3, degraded: 1, lat: 3, clean: 2, slow: 1, sum: lat(6), first: ms(1), last: ms(3), achieved: 1000}},
+		{"out-of-order completions", []retirement{{o: OutcomeClean, end: ms(3)}, {o: OutcomeClean, end: ms(1)}},
+			counts{completed: 2, lat: 2, clean: 2, sum: lat(4), first: ms(1), last: ms(3), achieved: 500}},
+		{"one instant has no rate", []retirement{
+			{o: OutcomeClean, end: ms(5)}, {o: OutcomeClean, end: ms(5)}, {o: OutcomeClean, end: ms(5)}},
+			counts{completed: 3, lat: 3, clean: 3, sum: lat(15), first: ms(5), last: ms(5)}},
+	}
+	for _, c := range cases {
+		var a AppLoad
+		for _, r := range c.rets {
+			a.Retire(r.o, r.retries, r.timeouts, r.start, r.end, r.deadline)
+		}
+		got := counts{a.Completed, a.Missed, a.Degraded, a.Abandoned, a.Rejected, a.Retries, a.Timeouts,
+			a.Latency.Count, a.CleanLat.Count, a.DegradedLat.Count, a.Latency.Sum, a.First, a.Last, a.Achieved}
+		if got != c.want {
+			t.Errorf("%s:\n got %+v\nwant %+v", c.name, got, c.want)
+		}
+	}
+}
